@@ -310,6 +310,8 @@ def _cmd_growth(spec: ExperimentSpec, summary: dict) -> None:
     summary["results"] = {
         "Lambda": res.Lambda, "k_star": res.k_star, "residual": res.residual,
         "grid_N": res.grid_N, "fixed_point_tol": gsec["tol"],
+        "eigensolves": res.eigensolves,
+        "eigensolves_per_mode": res.eigensolves / len(res.per_mode),
         "per_mode": [[k, xi, a0, lam] for k, xi, a0, lam in res.per_mode],
     }
 

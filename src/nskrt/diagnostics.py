@@ -44,21 +44,9 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .operators import Grid, lumped_mass, stiffness
+from .operators import Grid, dy_onesided, lumped_mass, stiffness
 from .profiles import DensityProfile, SlabConfig, check_admissibility
 
-
-def _dy_onesided(f: np.ndarray, dyy: float) -> np.ndarray:
-    """Centered vertical derivative with second-order one-sided wall rows.
-
-    Used for the density perturbation, whose wall behavior is not pinned
-    by the Navier-slip conditions; matches the simulator's default.
-    """
-    out = np.empty_like(f)
-    out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2.0 * dyy)
-    out[:, 0] = (-3.0 * f[:, 0] + 4.0 * f[:, 1] - f[:, 2]) / (2.0 * dyy)
-    out[:, -1] = (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / (2.0 * dyy)
-    return out
 
 __all__ = [
     "EnergyRecord",
@@ -126,7 +114,9 @@ def record(s, p: DensityProfile, config: SlabConfig) -> EnergyRecord:
 
     dx_v1, dy_v1 = g.dx1(v1), g.dy(v1, +1)
     dx_v2, dy_v2 = g.dx1(v2), g.dy(v2, -1)
-    dx_r, dy_r = g.dx1(rho_p), _dy_onesided(rho_p, g.dyy)
+    # one-sided wall rows: the Navier-slip conditions do not pin the density
+    # perturbation at the walls (the simulator's default closure)
+    dx_r, dy_r = g.dx1(rho_p), dy_onesided(rho_p, g.dyy)
 
     def second(f, parity, dxf):
         return (g.irfft(-g.xi**2 * g.rfft(f)),

@@ -16,6 +16,16 @@ alpha is strictly decreasing in s (the penalty form is positive definite),
 so alpha(s) = s^2 has at most one positive root, and that root is the
 growth rate Lambda.  If alpha(0) <= 0 there is no growing mode.
 
+For a fixed w the penalized quotient is affine in s and alpha is its
+maximum over w, so alpha is convex: its tangent at s_k, with slope
+alpha'(s_k) = -mu V(phi_k)/M(phi_k) (Hellmann-Feynman, phi_k the maximizer),
+lies below it.  Newton steps to the positive root of s^2 = tangent
+therefore rise from s_0 = 0 to Lambda without passing it and converge
+quadratically.  The bracket [s_k, sqrt(alpha(0))] is the only safeguard
+(alpha is strictly decreasing, so alpha(sqrt(alpha(0))) < alpha(0)): a
+step that does not raise s, or leaves the bracket, becomes a midpoint
+step.  The iteration stops at |alpha(s) - s^2| < tol * max(1, s^2).
+
 Everything reduces per horizontal Fourier mode.  For w2 = phi(y2) sin(xi x1)
 incompressibility gives w1 = phi'(y2) cos(xi x1)/xi, and after dropping the
 common horizontal factor the three quadratic forms become (phi in H^1_0,
@@ -39,6 +49,7 @@ balance: with W = phi'/xi,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,7 +57,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EigensolverError
-from .operators import lumped_mass, second_difference_form, stiffness, trapezoid_weights
+from .operators import (dy_onesided, lumped_mass, second_difference_form, stiffness,
+                        trapezoid_weights)
 from .profiles import DensityProfile, SlabConfig, check_admissibility
 from .threshold import _normalize_eigvec
 
@@ -103,13 +115,13 @@ def assemble_mode_forms(p: DensityProfile, config: SlabConfig, k: int,
                      rho=pN.rho, d1=pN.d1, g=config.g, kappa=config.kappa)
 
 
-def _penalized_quotient(phi: np.ndarray, s: float, forms: ModeForms) -> float:
-    """(Epot(phi) - s*mu*V(phi)) / M(phi) evaluated from difference sums.
+def _quotient_sums(phi: np.ndarray, forms: ModeForms) -> tuple[float, float, float]:
+    """(Epot(phi), V(phi), M(phi)) evaluated from difference sums.
 
-    For a smooth phi the sums carry no large cancellations, so this is
-    accurate to a few ulps of the quotient, well below the rounding of
-    the assembled-matrix eigenvalue whose backward error scales with the
-    huge top of the discrete biharmonic spectrum.
+    For a smooth phi the sums carry no large cancellations, so quotients
+    of them are accurate to a few ulps, well below the rounding of the
+    assembled-matrix eigenvalue whose backward error scales with the huge
+    top of the discrete biharmonic spectrum.
     """
     dy = float(forms.nodes[1] - forms.nodes[0])
     xi = forms.xi
@@ -128,7 +140,7 @@ def _penalized_quotient(phi: np.ndarray, s: float, forms: ModeForms) -> float:
     v_val = 2.0 * stiff(ones) + dy * float(np.sum(d2phi**2)) / xi**2 + xi**2 * mass(ones)
     c2 = forms.d1**2
     e_val = forms.g * mass(forms.d1) - forms.kappa * (stiff(c2) + xi**2 * mass(c2))
-    return (e_val - s * forms.mu * v_val) / m_val
+    return e_val, v_val, m_val
 
 
 def alpha(s: float, forms: ModeForms) -> tuple[float, np.ndarray]:
@@ -136,53 +148,70 @@ def alpha(s: float, forms: ModeForms) -> tuple[float, np.ndarray]:
 
     Returns (alpha_s, phi) with phi on the full node set, unit L2 norm.
     The eigensolve supplies the maximizer; the returned value is its
-    quotient re-evaluated from difference sums (Rayleigh-quotient
-    refinement: the vector error enters only quadratically, restoring the
-    accuracy the assembled-pencil reduction loses).
+    quotient (Epot - s*mu*V)/M re-evaluated from difference sums
+    (Rayleigh-quotient refinement: the vector error enters only
+    quadratically, restoring the accuracy the assembled-pencil reduction
+    loses).  A non-finite pencil or quotient raises EigensolverError.
     """
     if s < 0:
         raise ValueError("penalty weight s must be >= 0")
     A = forms.Epot - s * forms.mu * forms.V
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(forms.M))):
+        raise EigensolverError(f"alpha({s}): the pencil has non-finite entries")
     n = A.shape[0]
     try:
-        _, vecs = scipy.linalg.eigh(A, forms.M, subset_by_index=[n - 1, n - 1])
+        _, vecs = scipy.linalg.eigh(A, forms.M, subset_by_index=[n - 1, n - 1],
+                                    check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise EigensolverError(f"alpha({s}) eigensolve failed: {exc}") from exc
     phi = _normalize_eigvec(vecs[:, 0], forms.nodes)
-    return _penalized_quotient(phi, s, forms), phi
+    e_val, v_val, m_val = _quotient_sums(phi, forms)
+    a_s = (e_val - s * forms.mu * v_val) / m_val
+    if not math.isfinite(a_s):
+        raise EigensolverError(f"alpha({s}): the penalized quotient is {a_s}")
+    return a_s, phi
 
 
-def _fixed_point(forms: ModeForms, tol: float) -> tuple[float, np.ndarray | None, float]:
-    """Solve alpha(s) = s^2; returns (Lambda_xi, phi, residual)."""
-    a0, _ = alpha(0.0, forms)
+# midpoint steps alone shrink the bracket below one ulp in about 60 steps
+_MAX_ITER = 100
+
+
+def _fixed_point(forms: ModeForms, tol: float, a0: float,
+                 phi0: np.ndarray) -> tuple[float, np.ndarray | None, float, int]:
+    """Solve alpha(s) = s^2 from a0 = alpha(0) and its maximizer phi0.
+
+    Returns (Lambda_xi, phi, residual, eigensolves); Lambda_xi = 0 when
+    a0 <= 0.  The tangent is taken at the lower end of the bracket, the
+    largest s seen so far with alpha(s) >= s^2.
+    """
     if a0 <= 0.0:
-        return 0.0, None, 0.0
-    s_hi = 1.0
-    for _ in range(80):
-        a_hi, _ = alpha(s_hi, forms)
-        if a_hi < s_hi**2:
-            break
-        s_hi *= 2.0
-    else:
-        raise EigensolverError("growth-rate bracket did not close")
-    s_lo = 0.0
-    for _ in range(300):
-        s = 0.5 * (s_lo + s_hi)
+        return 0.0, None, 0.0, 0
+    s_lo, a_lo, phi_lo = 0.0, a0, phi0
+    s_hi = math.sqrt(a0)
+    for calls in range(1, _MAX_ITER + 1):
+        _, v_val, m_val = _quotient_sums(phi_lo, forms)
+        slope = -forms.mu * v_val / m_val            # alpha'(s_lo) <= 0
+        c = a_lo - slope * s_lo                      # > 0: a_lo > s_lo^2
+        s = 2.0 * c / (math.sqrt(slope**2 + 4.0 * c) - slope)
+        if not s_lo < s < s_hi:
+            s = 0.5 * (s_lo + s_hi)
+            if not s_lo < s < s_hi:
+                break
         a_s, phi = alpha(s, forms)
         resid = a_s - s**2
         if abs(resid) < tol * max(1.0, s**2):
-            return s, phi, abs(resid)
+            return s, phi, abs(resid), calls
         if resid > 0.0:
-            s_lo = s
+            s_lo, a_lo, phi_lo = s, a_s, phi
         else:
             s_hi = s
     raise EigensolverError(
-        f"growth-rate bisection stalled at s={s:.12g}, residual {resid:.3g}")
+        f"growth-rate iteration stalled in [{s_lo:.17g}, {s_hi:.17g}]")
 
 
 def mode_growth_rate(forms: ModeForms, tol: float = 1e-10) -> tuple[float, np.ndarray | None]:
     """Growth rate of one horizontal mode; Lambda_xi = 0 when alpha(0) <= 0."""
-    lam, phi, _ = _fixed_point(forms, tol)
+    lam, phi, _, _ = _fixed_point(forms, tol, *alpha(0.0, forms))
     return lam, phi
 
 
@@ -198,6 +227,7 @@ class GrowthResult:
         cell (None when Lambda = 0); w2 rides the sin(xi x1) mode, w1 and
         beta the cos / sin modes respectively
     residual : |alpha(Lambda) - Lambda^2| at the accepted fixed point
+    eigensolves : calls of ``alpha`` over the whole sweep
     """
 
     Lambda: float
@@ -209,15 +239,7 @@ class GrowthResult:
     residual: float
     nodes: np.ndarray
     grid_N: int
-
-
-def _d1(f: np.ndarray, dy: float) -> np.ndarray:
-    """Centered first derivative, 2nd-order one-sided at the ends."""
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dy)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dy)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dy)
-    return out
+    eigensolves: int = 0
 
 
 def compute_growth(p: DensityProfile, config: SlabConfig, N: int = 256,
@@ -238,10 +260,12 @@ def compute_growth(p: DensityProfile, config: SlabConfig, N: int = 256,
     running_max = 0.0
     decline = 0
     prev_a0 = np.inf
+    eigensolves = 0
     for k in range(1, k_max + 1):
         forms = assemble_mode_forms(pN, config, k)
-        a0, _ = alpha(0.0, forms)
-        lam, phi, resid = _fixed_point(forms, tol) if a0 > 0 else (0.0, None, 0.0)
+        a0, phi0 = alpha(0.0, forms)
+        lam, phi, resid, calls = _fixed_point(forms, tol, a0, phi0)
+        eigensolves += 1 + calls
         per_mode.append((k, forms.xi, a0, lam))
         if lam > running_max:
             running_max = lam
@@ -259,11 +283,11 @@ def compute_growth(p: DensityProfile, config: SlabConfig, N: int = 256,
     if best is None:
         return GrowthResult(Lambda=0.0, k_star=None, per_mode=per_mode,
                             w2=None, w1=None, beta=None, residual=0.0,
-                            nodes=pN.nodes, grid_N=N)
+                            nodes=pN.nodes, grid_N=N, eigensolves=eigensolves)
     lam, k_star, phi, forms, resid = best
     xi = forms.xi
     dy = pN.dy
-    dphi = _d1(phi, dy)
+    dphi = dy_onesided(phi, dy)
     w1 = dphi / xi
     wq = trapezoid_weights(pN.nodes.size, dy)
     cell = np.pi * config.L * float(np.sum(wq * (phi**2 + w1**2)))
@@ -271,11 +295,11 @@ def compute_growth(p: DensityProfile, config: SlabConfig, N: int = 256,
     phi = phi * scale
     w1 = w1 * scale
     dphi = dphi * scale
-    d3phi = _d1(_d1(dphi, dy), dy)
+    d3phi = dy_onesided(dy_onesided(dphi, dy), dy)
     beta = (config.mu * (d3phi - xi**2 * dphi) - lam * pN.rho * dphi) / xi**2
     return GrowthResult(Lambda=lam, k_star=k_star, per_mode=per_mode,
                         w2=phi, w1=w1, beta=beta, residual=resid,
-                        nodes=pN.nodes, grid_N=N)
+                        nodes=pN.nodes, grid_N=N, eigensolves=eigensolves)
 
 
 def write_modes_csv(result: GrowthResult, path: str | Path) -> None:

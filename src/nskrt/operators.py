@@ -12,7 +12,8 @@ Two families of helpers live here:
 
 * 2-D grid calculus on the Fourier x uniform-vertical simulation grid:
   spectral x1 derivatives, ghost-cell vertical derivatives with even/odd
-  wall parity, the 2/3 dealias mask, and trapezoid-x-spectral quadrature.
+  wall parity or one-sided wall rows (``dy_onesided``, which also serves
+  1-D columns), the 2/3 dealias mask, and trapezoid-x-spectral quadrature.
 
 Field arrays are laid out (Nx, Ny+1): axis 0 is the periodic horizontal
 direction, axis 1 the wall-bounded vertical direction.
@@ -27,6 +28,7 @@ __all__ = [
     "stiffness",
     "second_difference_form",
     "trapezoid_weights",
+    "dy_onesided",
     "Grid",
 ]
 
@@ -89,6 +91,16 @@ def second_difference_form(n_interior: int, dy: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # 2-D simulation grid
 # ---------------------------------------------------------------------------
+
+def dy_onesided(f: np.ndarray, dy: float) -> np.ndarray:
+    """Centered first derivative along the last axis, with second-order
+    one-sided rows at both ends (no wall condition imposed)."""
+    out = np.empty_like(f)
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * dy)
+    out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * dy)
+    out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * dy)
+    return out
+
 
 class Grid:
     """Fourier x collocated-vertical grid with parity ghost cells.

@@ -341,6 +341,8 @@ def make_tabulated_profile(y: np.ndarray, rho: np.ndarray) -> DensityProfile:
         raise ConfigError("tabulated profile needs matching 1-D y2 and rho columns")
     if not np.all(np.diff(y) > 0):
         raise ConfigError("tabulated profile requires strictly increasing y2")
+    if not np.all(np.isfinite(rho)):
+        raise ConfigError("tabulated profile has non-finite rho values")
     dy = np.diff(y)
     if np.allclose(dy, dy[0], rtol=1e-10, atol=0.0):
         return _profile_from_samples(y, rho, kind="tabulated")

@@ -63,7 +63,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
 from .errors import CflError, ConfigError, SimulationError, VacuumError
-from .operators import Grid
+from .operators import Grid, dy_onesided
 from .profiles import DensityProfile, SlabConfig, check_admissibility
 
 __all__ = [
@@ -190,7 +190,7 @@ class _Workspace:
         layer, which biases growth rates at first order in the grid.
         """
         if self.rho_ghost == "free":
-            return _dy_free(f, self.grid.dyy)
+            return dy_onesided(f, self.grid.dyy)
         return self.grid.dy(f, +1 if self.rho_ghost == "even" else -1)
 
 
@@ -341,15 +341,6 @@ def _projection_solve(r_hat: np.ndarray, ws: _Workspace) -> np.ndarray:
 # explicit tendencies
 # ---------------------------------------------------------------------------
 
-def _dy_free(f: np.ndarray, dyy: float) -> np.ndarray:
-    """Centered d/dy2 with one-sided second-order wall rows (no parity)."""
-    out = np.empty_like(f)
-    out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2.0 * dyy)
-    out[:, 0] = (-3.0 * f[:, 0] + 4.0 * f[:, 1] - f[:, 2]) / (2.0 * dyy)
-    out[:, -1] = (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / (2.0 * dyy)
-    return out
-
-
 def _fv_transport_div(v2: np.ndarray, q: np.ndarray, dyy: float) -> np.ndarray:
     """Vertical flux divergence of q by v2 in finite-volume form.
 
@@ -376,8 +367,8 @@ def _explicit_rhs(s: FieldState, ws: _Workspace, rc: RunConfig, config: SlabConf
         r_rho = -v2 * ws.d1
         t12 = -kap * ws.d1 * rx
         t22 = -2.0 * kap * ws.d1 * ry
-        f1 = _dy_free(t12, g.dyy)
-        f2 = g.dx1(t12) + _dy_free(t22, g.dyy)
+        f1 = dy_onesided(t12, g.dyy)
+        f2 = g.dx1(t12) + dy_onesided(t22, g.dyy)
         r_v1 = ws.c_base * f1
         r_v2 = ws.c_base * (f2 - config.g * rho_p)
     else:
@@ -388,8 +379,8 @@ def _explicit_rhs(s: FieldState, ws: _Workspace, rc: RunConfig, config: SlabConf
         t11 = -kap * rx * rx
         t12 = -kap * rx * gy
         t22 = -kap * (2.0 * ws.d1 * ry + ry * ry)
-        f1 = g.dx1(t11) + _dy_free(t12, g.dyy)
-        f2 = g.dx1(t12) + _dy_free(t22, g.dyy)
+        f1 = g.dx1(t11) + dy_onesided(t12, g.dyy)
+        f2 = g.dx1(t12) + dy_onesided(t22, g.dyy)
         adv1 = v1 * g.dx1(v1) + v2 * g.dy(v1, +1)
         adv2 = v1 * g.dx1(v2) + v2 * g.dy(v2, -1)
         r_v1 = -adv1 + c * f1

@@ -102,10 +102,14 @@ def mode_threshold(op: ModeQuotientOperator) -> tuple[float, np.ndarray]:
 
     Returns the per-mode threshold kappa_C(xi) and phi on the full node set
     (unit L2 norm, sign fixed so the largest-magnitude component is positive).
+    A non-finite pencil raises EigensolverError.
     """
+    if not (np.all(np.isfinite(op.A)) and np.all(np.isfinite(op.B))):
+        raise EigensolverError("mode quotient pencil has non-finite entries")
     n = op.A.shape[0]
     try:
-        vals, vecs = scipy.linalg.eigh(op.A, op.B, subset_by_index=[n - 1, n - 1])
+        vals, vecs = scipy.linalg.eigh(op.A, op.B, subset_by_index=[n - 1, n - 1],
+                                       check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise EigensolverError(f"mode quotient eigensolve failed: {exc}") from exc
     return float(vals[0]), _normalize_eigvec(vecs[:, 0], op.nodes)

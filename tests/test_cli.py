@@ -102,6 +102,10 @@ def test_growth_command_writes_eigenfunctions(tmp_path):
     assert main(["growth", "-c", cfg, "-o", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"]["Lambda"] > 0
+    n_modes = len(summary["results"]["per_mode"])
+    assert summary["results"]["eigensolves"] >= n_modes
+    assert summary["results"]["eigensolves_per_mode"] == \
+        summary["results"]["eigensolves"] / n_modes
     for name in ("modes.csv", "w2.txt", "w1.txt", "beta.txt"):
         assert (out / name).exists()
     data = np.loadtxt(out / "w2.txt")

@@ -1,9 +1,15 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.optimize import brentq
 
-from nskrt import (SlabConfig, alpha, assemble_mode_forms, compute_growth,
-                   compute_kappa_c, make_boundary_flat_profile,
-                   make_linear_profile, mode_growth_rate)
+from nskrt import (EigensolverError, SlabConfig, alpha, assemble_mode_forms,
+                   compute_growth, compute_kappa_c, growth,
+                   make_boundary_flat_profile, make_linear_profile,
+                   make_tanh_profile, mode_growth_rate, random_stabilizing_profile)
 from nskrt.growth import write_eigenfunction, write_modes_csv
 from nskrt.operators import trapezoid_weights
 
@@ -190,3 +196,163 @@ def test_growth_csv_and_eigenfunction_export(tmp_path, slab, linear_profile):
     data = np.loadtxt(wpath)
     assert data.shape == (gr.nodes.size, 2)
     assert np.allclose(data[:, 1], gr.w2)
+
+
+# ---------------------------------------------------------------------------
+# solver work and typed failures
+# ---------------------------------------------------------------------------
+
+class _AlphaSpy:
+    """Stands in for growth.alpha and records every (s, alpha(s)) pair."""
+
+    def __init__(self, inner=alpha):
+        self.inner = inner
+        self.calls: list[tuple[float, float]] = []
+
+    def __call__(self, s, forms):
+        a_s, phi = self.inner(s, forms)
+        self.calls.append((s, a_s))
+        return a_s, phi
+
+    def per_mode(self) -> list[list[tuple[float, float]]]:
+        """Calls split by mode: each mode's fixed point starts at s = 0."""
+        modes: list = []
+        for s, a_s in self.calls:
+            if s == 0.0:
+                modes.append([])
+            modes[-1].append((s, a_s))
+        return modes
+
+
+def test_eigensolves_counted_and_few_per_mode(slab, linear_profile):
+    spy = _AlphaSpy()
+    with mock.patch.object(growth, "alpha", spy):
+        gr = compute_growth(linear_profile, slab, N=128)
+    assert gr.eigensolves == len(spy.calls)
+    assert len(spy.per_mode()) == len(gr.per_mode)
+    assert gr.eigensolves <= 6 * len(gr.per_mode)
+
+
+def test_growth_result_eigensolves_defaults_to_zero():
+    gr = growth.GrowthResult(Lambda=0.0, k_star=None, per_mode=[], w2=None,
+                             w1=None, beta=None, residual=0.0,
+                             nodes=np.linspace(0.0, 1.0, 5), grid_N=4)
+    assert gr.eigensolves == 0
+
+
+def test_nonfinite_pencil_raises_eigensolver_error(slab, linear_profile):
+    f = assemble_mode_forms(linear_profile, slab, 1, N=64)
+    for name in ("Epot", "V", "M"):
+        bad = getattr(f, name).copy()
+        bad[3, 3] = np.nan
+        with pytest.raises(EigensolverError):
+            alpha(0.1, dataclasses.replace(f, **{name: bad}))
+
+
+def test_nonfinite_quotient_raises_at_first_eigensolve(slab, linear_profile):
+    f = assemble_mode_forms(linear_profile, slab, 1, N=64)
+    d1 = f.d1.copy()
+    d1[10] = np.nan
+    spy = _AlphaSpy()
+    with mock.patch.object(growth, "alpha", spy), pytest.raises(EigensolverError):
+        mode_growth_rate(dataclasses.replace(f, d1=d1))
+    assert spy.calls == []          # the very first alpha call raised
+
+
+def test_compute_growth_rejects_nan_mode(slab, linear_profile, monkeypatch):
+    assemble = growth.assemble_mode_forms
+
+    def nan_forms(*args, **kwargs):
+        f = assemble(*args, **kwargs)
+        return dataclasses.replace(f, d1=np.full_like(f.d1, np.nan))
+
+    monkeypatch.setattr(growth, "assemble_mode_forms", nan_forms)
+    with pytest.raises(EigensolverError):
+        compute_growth(linear_profile, slab, N=64)
+
+
+def test_midpoint_safeguard_on_nonconvex_alpha(slab, linear_profile, monkeypatch):
+    # alpha minus a cubic: still strictly decreasing, but concave, so the
+    # tangent step lies above it and overshoots the root
+    f = assemble_mode_forms(linear_profile, slab, 1, N=64)
+    a0 = alpha(0.0, f)[0]
+    bump = 5.0 / np.sqrt(a0)
+
+    def bent(s, forms):
+        a_s, phi = alpha(s, forms)
+        return a_s - bump * s**3, phi
+
+    spy = _AlphaSpy(bent)
+    monkeypatch.setattr(growth, "alpha", spy)
+    tol = 1e-10
+    root = brentq(lambda s: bent(s, f)[0] - s**2, 0.0, np.sqrt(a0), xtol=1e-15)
+    try:
+        lam, _ = mode_growth_rate(f, tol=tol)
+    except EigensolverError:
+        return
+    s_seq = [s for s, _ in spy.calls]
+    assert any(b < a for a, b in zip(s_seq, s_seq[1:])), "safeguard never hit"
+    assert abs(bent(lam, f)[0] - lam**2) < tol * max(1.0, lam**2)
+    assert abs(lam - root) <= 1e-8 * root
+
+
+# ---------------------------------------------------------------------------
+# properties over random stabilizing and tanh profiles
+# ---------------------------------------------------------------------------
+
+def _bisection_oracle(forms, width=1e-14):
+    """Root of alpha(s) = s^2 by plain bisection; returns (root, bracket width)."""
+    lo, hi = 0.0, np.sqrt(alpha(0.0, forms)[0])
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if alpha(mid, forms)[0] > mid**2:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), hi - lo
+
+
+@st.composite
+def growth_cases(draw):
+    N = draw(st.sampled_from([48, 64, 96]))
+    config = SlabConfig(g=1.0, mu=draw(st.floats(0.05, 0.3)), kappa=0.0, L=1.0, h=1.0)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        p = random_stabilizing_profile(config, N, rng)
+    else:
+        p = make_tanh_profile(config, N, amp=draw(st.floats(0.2, 1.0)),
+                              steepness=draw(st.floats(2.0, 10.0)),
+                              reg_slope=draw(st.floats(0.05, 0.5)))
+    kc = compute_kappa_c(p, config, N=N).kappa_c
+    frac = draw(st.floats(0.0, 0.95))
+    return p, dataclasses.replace(config, kappa=frac * kc), N
+
+
+@given(growth_cases())
+def test_growth_properties(case):
+    p, config, N = case
+    tol, k_max = 1e-10, 24
+    spy = _AlphaSpy()
+    with mock.patch.object(growth, "alpha", spy):
+        gr = compute_growth(p, config, N=N, tol=tol, k_max=k_max)
+    full = compute_growth(p, config, N=N, tol=tol, k_max=k_max, exhaustive=True)
+    assert (gr.Lambda, gr.k_star) == (full.Lambda, full.k_star)
+    assert gr.per_mode == full.per_mode[:len(gr.per_mode)]
+    assert (gr.Lambda > 0) == any(a0 > 0 for _, _, a0, _ in gr.per_mode)
+    # monotone iterates: every step rises, and every iterate but the
+    # accepted one stays below the root, so no midpoint step was taken
+    for calls in spy.per_mode():
+        s_seq = [s for s, _ in calls]
+        assert all(b > a for a, b in zip(s_seq, s_seq[1:]))
+        assert all(a_s > s**2 for s, a_s in calls[:-1])
+    if gr.Lambda == 0.0:
+        return
+    lam = gr.Lambda
+    assert gr.residual <= tol * max(1.0, lam**2)
+    forms = assemble_mode_forms(p.resample(N), config, gr.k_star)
+    ref, width = _bisection_oracle(forms)
+    e_val, v_val, m_val = growth._quotient_sums(gr.w2, forms)
+    slope = -config.mu * v_val / m_val
+    assert abs(lam - ref) <= tol * max(1.0, lam**2) / abs(slope - 2.0 * lam) + width

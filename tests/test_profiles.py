@@ -129,6 +129,8 @@ def test_tabulated_header_and_monotonicity(tmp_path):
         load_profile(bad)
     with pytest.raises(ConfigError):
         make_tabulated_profile(np.array([0.0, 0.5, 0.4]), np.array([1.0, 1.1, 1.2]))
+    with pytest.raises(ConfigError):
+        make_tabulated_profile(np.array([0.0, 0.5, 1.0]), np.array([1.0, np.nan, 1.2]))
 
 
 def test_slab_config_validation():

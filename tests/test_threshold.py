@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from nskrt import (DegenerateThresholdError, SlabConfig, assemble_mode_quotient,
-                   compute_kappa_c, make_boundary_flat_profile,
+from nskrt import (DegenerateThresholdError, EigensolverError, SlabConfig,
+                   assemble_mode_quotient, compute_kappa_c, make_boundary_flat_profile,
                    make_linear_profile, make_tanh_profile, mode_threshold,
                    random_stabilizing_profile, remark_bound,
                    two_dim_quotient_ascent)
@@ -137,3 +139,12 @@ def test_modes_csv(tmp_path, slab, linear_profile):
     k, xi, val = lines[1].split(",")
     assert int(k) == 1 and float(xi) == 1.0
     assert np.isclose(float(val), res.kappa_c)
+
+
+def test_nonfinite_pencil_raises_eigensolver_error(slab, linear_profile):
+    op = assemble_mode_quotient(linear_profile, slab, 1)
+    for name in ("A", "B"):
+        bad = getattr(op, name).copy()
+        bad[2, 2] = np.inf if name == "A" else np.nan
+        with pytest.raises(EigensolverError):
+            mode_threshold(dataclasses.replace(op, **{name: bad}))
