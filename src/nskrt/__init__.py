@@ -10,8 +10,8 @@ diagnostics.
 __version__ = "0.1.0"
 
 from .diagnostics import (EnergyRecord, FitResult, bounded_decay_check,
-                          fit_growth, poincare_min_quotient, potential_energy,
-                          read_series, record, write_series)
+                          fit_escape, fit_growth, poincare_min_quotient,
+                          potential_energy, read_series, record, write_series)
 from .errors import (CflError, ConfigError, DegenerateThresholdError,
                      EigensolverError, NskError, SimulationError, VacuumError)
 from .growth import (GrowthResult, ModeForms, alpha, assemble_mode_forms,

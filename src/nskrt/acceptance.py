@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import bounded_decay_check, fit_growth, poincare_min_quotient
+from .diagnostics import (bounded_decay_check, fit_escape, fit_growth,
+                          poincare_min_quotient)
 from .growth import compute_growth
 from .operators import Grid
 from .profiles import (SlabConfig, make_boundary_flat_profile,
                        make_linear_profile, random_stabilizing_profile)
-from .simulator import Init, RunConfig, _Workspace, _l1_speed, escape_time, init_state, run
+from .simulator import Init, RunConfig, _l1_speed, escape_time, init_state, run
 from .threshold import compute_kappa_c, remark_bound
 
 __all__ = ["CriterionResult", "run_acceptance", "CRITERIA"]
@@ -150,27 +151,20 @@ def _criterion_7():
     gr = compute_growth(p, config, N=256)
     rc = RunConfig(Nx=128, Ny=128, t_end=60.0, dt=0.02,
                    init=Init("eigenfunction", delta=1e-4))
-    ws = _Workspace(rc, p, config)
     probe = init_state(RunConfig(Nx=128, Ny=128, t_end=1.0, dt=0.02,
                                  init=Init("eigenfunction", delta=1e-3)),
                        p, config, gr=gr)
-    eps = 0.02 * _l1_speed(probe, ws.grid) / 1e-3
+    eps = 0.02 * _l1_speed(probe, Grid(rc.Nx, rc.Ny, config.L, config.h)) / 1e-3
     deltas = [1e-4, 3e-4, 1e-3, 3e-3]
     pairs = escape_time(rc, p, config, deltas, eps, gr=gr)
     if any(t is None for _, t in pairs):
         return False, {"error": "censored escape", "pairs": pairs}
-    x = np.log([1.0 / d for d, _ in pairs])
-    y = np.array([t for _, t in pairs])
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    pred = A @ coef
-    r2 = 1.0 - float(np.sum((y - pred) ** 2) / np.sum((y - y.mean()) ** 2))
-    slope = float(coef[0])
-    rel = abs(slope - 1.0 / gr.Lambda) * gr.Lambda
-    ok = rel <= 0.10 and r2 >= 0.99
-    return ok, {"pairs": [[d, t] for d, t in pairs], "slope": slope,
+    fit = fit_escape(pairs)
+    rel = abs(fit.rate - 1.0 / gr.Lambda) * gr.Lambda
+    ok = rel <= 0.10 and fit.r_squared >= 0.99
+    return ok, {"pairs": [[d, t] for d, t in pairs], "slope": fit.rate,
                 "inverse_Lambda": 1.0 / gr.Lambda, "rel_err": rel,
-                "r_squared": r2, "eps": eps, "runtime_bound_s": 600.0}
+                "r_squared": fit.r_squared, "eps": eps, "runtime_bound_s": 600.0}
 
 
 def _energy_residual(dt: float) -> float:

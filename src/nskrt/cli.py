@@ -21,19 +21,15 @@ Exit codes: 0 success, 1 acceptance failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import difflib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .diagnostics import write_series
+from .diagnostics import fit_escape, write_series
 from .errors import ConfigError, NskError
 from .growth import compute_growth, write_eigenfunction
 from .growth import write_modes_csv as write_growth_csv
@@ -253,8 +249,6 @@ def parse_spec(command: str, config_path: str | None = None,
         if param not in SWEEP_PARAMS:
             raise ConfigError(
                 f"sweep.param must be one of {', '.join(SWEEP_PARAMS)}, got {param!r}")
-        if values["sweep"]["command"] not in ("threshold", "growth", "simulate"):
-            raise ConfigError("sweep.command must be threshold, growth or simulate")
     return ExperimentSpec(command=command, values=values, outdir=Path(outdir),
                           config_path=config_path, overrides=list(sets or []))
 
@@ -295,13 +289,19 @@ def _cmd_threshold(spec: ExperimentSpec, summary: dict) -> None:
     }
 
 
+def _growth(spec: ExperimentSpec, config: SlabConfig, p: DensityProfile):
+    """compute_growth with every [growth] setting of the spec."""
+    gsec = spec.values["growth"]
+    return compute_growth(p, config, N=spec.values["profile"]["n"],
+                          tol=gsec["tol"], k_max=gsec["k_max"],
+                          exhaustive=gsec["exhaustive"])
+
+
 def _cmd_growth(spec: ExperimentSpec, summary: dict) -> None:
     config = spec.slab()
     p = spec.profile(config)
     gsec = spec.values["growth"]
-    res = compute_growth(p, config, N=spec.values["profile"]["n"],
-                         tol=gsec["tol"], k_max=gsec["k_max"],
-                         exhaustive=gsec["exhaustive"])
+    res = _growth(spec, config, p)
     write_growth_csv(res, spec.outdir / "modes.csv")
     if res.Lambda > 0:
         write_eigenfunction(res.nodes, res.w2, spec.outdir / "w2.txt")
@@ -316,19 +316,11 @@ def _cmd_growth(spec: ExperimentSpec, summary: dict) -> None:
     }
 
 
-def _growth_for_init(spec: ExperimentSpec, config, p):
-    if spec.values["run"]["init"] != "eigenfunction":
-        return None
-    gsec = spec.values["growth"]
-    return compute_growth(p, config, N=spec.values["profile"]["n"],
-                          tol=gsec["tol"], k_max=gsec["k_max"])
-
-
 def _cmd_simulate(spec: ExperimentSpec, summary: dict) -> None:
     config = spec.slab()
     p = spec.profile(config)
     rc = spec.run_config()
-    gr = _growth_for_init(spec, config, p)
+    gr = _growth(spec, config, p) if spec.values["run"]["init"] == "eigenfunction" else None
     final, series = run(rc, p, config, gr=gr)
     write_series(series, spec.outdir / "series.csv")
     write_checkpoint(final, spec.outdir / "final.bin")
@@ -349,29 +341,19 @@ def _cmd_escape(spec: ExperimentSpec, summary: dict) -> None:
     rc = spec.run_config()
     deltas = _float_list(spec.values["escape"]["deltas"], "escape.deltas")
     eps = spec.values["escape"]["eps"]
-    gsec = spec.values["growth"]
-    gr = compute_growth(p, config, N=spec.values["profile"]["n"], tol=gsec["tol"])
+    gr = _growth(spec, config, p)
     pairs = escape_time(rc, p, config, deltas, eps, gr=gr)
     with open(spec.outdir / "escape.csv", "w") as fh:
         fh.write("delta,t_escape,censored\n")
         for d, t in pairs:
             fh.write(f"{d:.17g},{'' if t is None else format(t, '.17g')},{int(t is None)}\n")
-    done = [(d, t) for d, t in pairs if t is not None]
-    slope = r2 = None
-    if len(done) >= 2:
-        x = np.log([1.0 / d for d, _ in done])
-        y = np.array([t for _, t in done])
-        A = np.vstack([x, np.ones_like(x)]).T
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        slope = float(coef[0])
-        pred = A @ coef
-        ss = float(np.sum((y - y.mean()) ** 2))
-        r2 = 1.0 - float(np.sum((y - pred) ** 2)) / ss if ss > 0 else 1.0
+    fit = fit_escape(pairs)
     summary["results"] = {
         "eps": eps, "Lambda": gr.Lambda,
         "inverse_Lambda": None if gr.Lambda == 0 else 1.0 / gr.Lambda,
         "pairs": [[d, t] for d, t in pairs],
-        "fitted_slope": slope, "r_squared": r2,
+        "fitted_slope": None if fit is None else fit.rate,
+        "r_squared": None if fit is None else fit.r_squared,
     }
 
 
@@ -379,10 +361,8 @@ def _cmd_sweep(spec: ExperimentSpec, summary: dict) -> None:
     param = spec.values["sweep"]["param"]
     values = _float_list(spec.values["sweep"]["values"], "sweep.values")
     sub_command = spec.values["sweep"]["command"]
-    workers = max(1, int(os.environ.get("NSK_THREADS", "1")))
-
-    def one(idx_value):
-        idx, value = idx_value
+    rows = []
+    for idx, value in enumerate(values):
         sub = ExperimentSpec(command=sub_command,
                              values={k: dict(v) for k, v in spec.values.items()},
                              outdir=spec.outdir / f"{param}_{idx:03d}",
@@ -398,15 +378,7 @@ def _cmd_sweep(spec: ExperimentSpec, summary: dict) -> None:
         {"threshold": _cmd_threshold, "growth": _cmd_growth,
          "simulate": _cmd_simulate}[sub_command](sub, sub_summary)
         _write_summary(sub_summary, sub.outdir)
-        return idx, value, sub_summary["results"]
-
-    tasks = list(enumerate(values))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(one, tasks))
-    else:
-        rows = [one(t) for t in tasks]
-    rows.sort(key=lambda r: r[0])  # aggregate order follows sweep-value order
+        rows.append((value, sub_summary["results"]))
 
     scalar_keys = {
         "threshold": ("kappa_c", "k_star"),
@@ -415,7 +387,7 @@ def _cmd_sweep(spec: ExperimentSpec, summary: dict) -> None:
     }[sub_command]
     with open(spec.outdir / "aggregate.csv", "w") as fh:
         fh.write(param + "," + ",".join(scalar_keys) + "\n")
-        for _, value, results in rows:
+        for value, results in rows:
             cells = [f"{value:.17g}"]
             for key in scalar_keys:
                 val = results.get(key)
@@ -424,7 +396,7 @@ def _cmd_sweep(spec: ExperimentSpec, summary: dict) -> None:
             fh.write(",".join(cells) + "\n")
     summary["results"] = {
         "param": param, "values": values, "sub_command": sub_command,
-        "rows": [[v, dict(r)] for _, v, r in rows], "workers": workers,
+        "rows": [[v, dict(r)] for v, r in rows],
     }
 
 

@@ -54,6 +54,7 @@ __all__ = [
     "potential_energy",
     "record",
     "fit_growth",
+    "fit_escape",
     "bounded_decay_check",
     "poincare_min_quotient",
     "write_series",
@@ -212,6 +213,26 @@ def fit_growth(series: list[EnergyRecord], window=None) -> FitResult:
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     return FitResult(rate=float(slope), window=(float(t[0]), float(t[-1])),
                      r_squared=r2, kind="exp_growth")
+
+
+def fit_escape(pairs) -> FitResult | None:
+    """Least-squares slope of escape time against ln(1/delta), about 1/Lambda.
+
+    pairs are (delta, T_escape) with None marking a censored run; censored
+    runs are dropped, and with fewer than two escapes there is no fit.
+    The window is the fitted span of ln(1/delta).
+    """
+    done = [(d, t) for d, t in pairs if t is not None]
+    if len(done) < 2:
+        return None
+    x = np.log([1.0 / d for d, _ in done])
+    y = np.array([t for _, t in done])
+    A = np.vstack([x, np.ones_like(x)]).T
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    ss = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum((y - A @ coef) ** 2)) / ss if ss > 0 else 1.0
+    return FitResult(rate=float(coef[0]), window=(float(x.min()), float(x.max())),
+                     r_squared=r2, kind="escape_slope")
 
 
 def bounded_decay_check(series: list[EnergyRecord], p_exponent: float) -> tuple[float, bool]:

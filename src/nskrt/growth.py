@@ -56,7 +56,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .errors import EigensolverError
+from .errors import ConfigError, EigensolverError
 from .operators import (dy_onesided, lumped_mass, second_difference_form, stiffness,
                         trapezoid_weights)
 from .profiles import DensityProfile, SlabConfig, check_admissibility
@@ -254,7 +254,7 @@ def compute_growth(p: DensityProfile, config: SlabConfig, N: int = 256,
     pN = p.resample(N)
     rep = check_admissibility(pN)
     if not rep.rt_condition:
-        raise ValueError("growth-rate sweep expects an RT profile (rho' > 0 somewhere)")
+        raise ConfigError("growth-rate sweep expects an RT profile (rho' > 0 somewhere)")
     per_mode: list[tuple[int, float, float, float]] = []
     best: tuple | None = None
     running_max = 0.0

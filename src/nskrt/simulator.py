@@ -124,7 +124,6 @@ class RunConfig:
     output_every: int = 10
     checkpoint_every: int | None = None
     checkpoint_dir: str | None = None
-    escape_eps: float | None = None
     projection_tol: float = 1e-10
     rho_ghost: str = "free"       # wall closure for rho_pert in the capillary stress
 
@@ -155,14 +154,8 @@ class FieldState:
     rho_pert: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
-    pressure: np.ndarray
     step_index: int = 0
     s2: np.ndarray | None = None
-
-    def copy(self) -> "FieldState":
-        return FieldState(self.t, self.rho_pert.copy(), self.v1.copy(),
-                          self.v2.copy(), self.pressure.copy(), self.step_index,
-                          None if self.s2 is None else self.s2.copy())
 
 
 class _Workspace:
@@ -450,23 +443,20 @@ def _predict_pressure(a1: np.ndarray, a2: np.ndarray, c: np.ndarray,
 
 def _project(v1: np.ndarray, v2: np.ndarray, rho_p: np.ndarray, dt: float,
              ws: _Workspace, rc: RunConfig):
-    """Make (v1, v2) discretely divergence-free; returns fields and multiplier."""
+    """Make (v1, v2) discretely divergence-free."""
     g = ws.grid
     c = ws.c_base if rc.linearized else 1.0 / (ws.rho_b + rho_p)
-    vbar2_star = np.mean(v2, axis=0, keepdims=True)
     div = g.dx1(v1) + g.dy(v2, -1)
     vscale = max(np.max(np.abs(v1)), np.max(np.abs(v2)), 1e-300)
     phi = _var_poisson(div / dt, c, ws, rc, vscale / dt, "projection")
     v1 = v1 - dt * c * g.dx1(phi)
     v2 = v2 - dt * c * g.dy(phi, +1)
     # k = 0 mode: the only divergence-free horizontal mean of v2 vanishing
-    # at the walls is zero; the matching mean multiplier balances the
-    # starred mean vertical velocity hydrostatically.
+    # at the walls is zero
     v2 = v2 - np.mean(v2, axis=0, keepdims=True)
     v2[:, 0] = 0.0
     v2[:, -1] = 0.0
-    phi0 = cumulative_trapezoid((vbar2_star / ws.c_base)[0], g.y, initial=0.0) / dt
-    return v1, v2, phi + phi0.reshape(1, -1)
+    return v1, v2
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +476,9 @@ def _explicit_substep(s: FieldState, dt: float, ws: _Workspace, rc: RunConfig,
     c_old = ws.c_base if rc.linearized else 1.0 / (ws.rho_b + s.rho_pert)
     v1 = s.v1 + dt * (r_v1 - c_old * g.dx1(beta))
     v2 = s.v2 + dt * (r_v2 - c_old * g.dy(beta, +1))
-    v1, v2, corr = _project(v1, v2, rho_new, dt, ws, rc)
+    v1, v2 = _project(v1, v2, rho_new, dt, ws, rc)
     s2 = None if s.s2 is None else s.s2 + dt * s.v2
-    return FieldState(s.t + dt, rho_new, v1, v2, beta + corr, s.step_index, s2)
+    return FieldState(s.t + dt, rho_new, v1, v2, s.step_index, s2)
 
 
 def _viscous_half(s: FieldState, half: float, ws: _Workspace, rc: RunConfig,
@@ -536,11 +526,10 @@ def _viscous_half(s: FieldState, half: float, ws: _Workspace, rc: RunConfig,
         else:
             raise SimulationError(
                 f"implicit viscous solve failed to reach {tol:.3g} in 40 iterations")
-    pressure = s.pressure
     if project:
         # the per-mode viscous solves do not commute with the discrete
         # divergence in the wall rows; clean the O(dt*nu) remainder
-        v1, v2, _ = _project(v1, v2, s.rho_pert, half, ws, rc)
+        v1, v2 = _project(v1, v2, s.rho_pert, half, ws, rc)
     else:
         # the variable-coefficient correction can leave a tiny horizontal
         # mean in v2; the divergence-free subspace has none, and the
@@ -548,7 +537,7 @@ def _viscous_half(s: FieldState, half: float, ws: _Workspace, rc: RunConfig,
         v2 = v2 - np.mean(v2, axis=0, keepdims=True)
         v2[:, 0] = 0.0
         v2[:, -1] = 0.0
-    return FieldState(s.t, s.rho_pert, v1, v2, pressure, s.step_index, s.s2)
+    return FieldState(s.t, s.rho_pert, v1, v2, s.step_index, s.s2)
 
 
 def _full_nu(ws: _Workspace, rho_p: np.ndarray) -> np.ndarray:
@@ -561,7 +550,6 @@ def _combine(a: float, sa: FieldState, b: float, sb: FieldState) -> FieldState:
                       a * sa.rho_pert + b * sb.rho_pert,
                       a * sa.v1 + b * sb.v1,
                       a * sa.v2 + b * sb.v2,
-                      sb.pressure,
                       sa.step_index, s2)
 
 
@@ -608,11 +596,14 @@ def step(s: FieldState, rc: RunConfig, p: DensityProfile, config: SlabConfig,
     out.step_index = s.step_index + 1
 
     vmax_new = max(float(np.max(np.abs(out.v1))), float(np.max(np.abs(out.v2))))
+    rho_min = float(np.min(ws.rho_b + out.rho_pert))
+    if not (math.isfinite(vmax_new) and math.isfinite(rho_min)):
+        raise SimulationError(f"non-finite velocity or density at t={out.t:.6g}")
     if rc.dt_mode == "fixed" and vmax_old > 1e-14 and vmax_new > 10.0 * vmax_old:
         raise CflError(
             f"velocity grew by {vmax_new / vmax_old:.1f}x in one step at "
             f"t={out.t:.6g}; fixed dt={dt:g} violates a stability limit")
-    if float(np.min(ws.rho_b + out.rho_pert)) <= 0.0:
+    if rho_min <= 0.0:
         raise VacuumError(f"total density reached zero at t={out.t:.6g}")
     return out
 
@@ -622,8 +613,7 @@ def step(s: FieldState, rc: RunConfig, p: DensityProfile, config: SlabConfig,
 # ---------------------------------------------------------------------------
 
 def make_state(rc: RunConfig, p: DensityProfile, config: SlabConfig,
-               rho_pert: np.ndarray, v1: np.ndarray, v2: np.ndarray,
-               t: float = 0.0, project: bool = True) -> FieldState:
+               rho_pert: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> FieldState:
     """Assemble a valid state from raw fields (projects, imposes walls)."""
     ws = _workspace(rc, p, config)
     shape = (rc.Nx, rc.Ny + 1)
@@ -635,15 +625,11 @@ def make_state(rc: RunConfig, p: DensityProfile, config: SlabConfig,
     v2 = v2.copy()
     v2[:, 0] = 0.0
     v2[:, -1] = 0.0
-    pressure = np.zeros(shape)
-    if project:
-        nonzero = max(np.max(np.abs(v1)), np.max(np.abs(v2))) > 0
-        if nonzero:
-            v1, v2, pressure = _project(v1.astype(float), v2, rho_pert, 1.0, ws, rc)
+    if max(np.max(np.abs(v1)), np.max(np.abs(v2))) > 0:
+        v1, v2 = _project(v1.astype(float), v2, rho_pert, 1.0, ws, rc)
     s2 = np.zeros(shape) if rc.linearized else None
-    st = FieldState(t, rho_pert.astype(float), np.asarray(v1, float),
-                    np.asarray(v2, float), pressure, 0, s2)
-    return st
+    return FieldState(0.0, rho_pert.astype(float), np.asarray(v1, float),
+                      np.asarray(v2, float), 0, s2)
 
 
 def init_state(rc: RunConfig, p: DensityProfile, config: SlabConfig,
@@ -668,7 +654,7 @@ def init_state(rc: RunConfig, p: DensityProfile, config: SlabConfig,
 
     if init.kind == "zero" or init.delta == 0.0:
         return FieldState(0.0, np.zeros(shape), np.zeros(shape), np.zeros(shape),
-                          np.zeros(shape), 0, np.zeros(shape) if rc.linearized else None)
+                          0, np.zeros(shape) if rc.linearized else None)
 
     if init.kind == "eigenfunction":
         if gr is None or gr.Lambda <= 0.0 or gr.w2 is None:
@@ -726,35 +712,32 @@ def _l1_speed(state: FieldState, g: Grid) -> float:
     return g.integrate(np.sqrt(state.v1**2 + state.v2**2))
 
 
+def _steps(state: FieldState, rc: RunConfig, p: DensityProfile, config: SlabConfig):
+    """The time loop: step to t_end under the configured dt policy, yielding
+    each new state (the last step is clipped to land on t_end)."""
+    while state.t < rc.t_end - 1e-14:
+        dt = rc.dt if rc.dt_mode == "fixed" else suggest_dt(state, rc, p, config)
+        state = step(state, rc, p, config, dt=min(dt, rc.t_end - state.t))
+        yield state
+
+
 def run(rc: RunConfig, p: DensityProfile, config: SlabConfig, gr=None):
-    """Advance to t_end (or escape), emitting an EnergyRecord time series.
+    """Advance to t_end, emitting an EnergyRecord time series.
 
     Returns (final_state, records).  Records are taken at step 0, every
-    output_every steps, and at the final step; when escape_eps is set the
-    run stops at the first step whose L1 speed reaches the threshold.
+    output_every steps, and at the final step.
     """
     from .diagnostics import record
 
     state = init_state(rc, p, config, gr=gr)
-    ws = _workspace(rc, p, config)
     records = [record(state, p, config)]
-    while state.t < rc.t_end - 1e-14:
-        if rc.dt_mode == "fixed":
-            dt = rc.dt
-        else:
-            dt = suggest_dt(state, rc, p, config)
-            if not math.isfinite(dt):
-                dt = rc.t_end - state.t
-        dt = min(dt, rc.t_end - state.t)
-        state = step(state, rc, p, config, dt=dt)
+    for state in _steps(state, rc, p, config):
         if state.step_index % rc.output_every == 0:
             records.append(record(state, p, config))
         if rc.checkpoint_every and rc.checkpoint_dir and \
                 state.step_index % rc.checkpoint_every == 0:
             path = Path(rc.checkpoint_dir) / f"ckpt_{state.step_index:08d}.bin"
             write_checkpoint(state, path)
-        if rc.escape_eps is not None and _l1_speed(state, ws.grid) >= rc.escape_eps:
-            break
     if records[-1].t != state.t:
         records.append(record(state, p, config))
     return state, records
@@ -775,31 +758,22 @@ def escape_time(rc: RunConfig, p: DensityProfile, config: SlabConfig,
         return [(float(d), None) for d in deltas]
     out = []
     for delta in deltas:
-        rc_d = replace(rc, init=replace(rc.init, kind="eigenfunction", delta=float(delta)),
-                       escape_eps=None)
+        rc_d = replace(rc, init=replace(rc.init, kind="eigenfunction", delta=float(delta)))
         state = init_state(rc_d, p, config, gr=gr)
-        ws = _Workspace(rc_d, p, config)
-        l1 = _l1_speed(state, ws.grid)
-        if l1 >= eps:
+        grid = _workspace(rc_d, p, config).grid
+        t_prev, l_prev = state.t, _l1_speed(state, grid)
+        if l_prev >= eps:
             out.append((float(delta), 0.0))
             continue
         t_hit = None
-        while state.t < rc_d.t_end - 1e-14:
-            if rc_d.dt_mode == "fixed":
-                dt = rc_d.dt
-            else:
-                dt = suggest_dt(state, rc_d, p, config)
-            dt = min(dt, rc_d.t_end - state.t)
-            t_prev, l_prev = state.t, l1
-            state = step(state, rc_d, p, config, dt=dt)
-            l1 = _l1_speed(state, ws.grid)
+        for state in _steps(state, rc_d, p, config):
+            l1 = _l1_speed(state, grid)
             if l1 >= eps:
-                if l_prev > 0:
-                    frac = (math.log(eps) - math.log(l_prev)) / (math.log(l1) - math.log(l_prev))
-                else:
-                    frac = 1.0
+                frac = ((math.log(eps) - math.log(l_prev))
+                        / (math.log(l1) - math.log(l_prev)) if l_prev > 0 else 1.0)
                 t_hit = t_prev + frac * (state.t - t_prev)
                 break
+            t_prev, l_prev = state.t, l1
         out.append((float(delta), t_hit))
     return out
 
@@ -831,4 +805,4 @@ def read_checkpoint(path: str | Path, rc: RunConfig) -> FieldState:
     t = float(data[0])
     shape = (rc.Nx, rc.Ny + 1)
     fields = [data[1 + i * npt: 1 + (i + 1) * npt].reshape(shape).copy() for i in range(3)]
-    return FieldState(t, fields[0], fields[1], fields[2], np.zeros(shape), 0, None)
+    return FieldState(t, fields[0], fields[1], fields[2], 0, None)

@@ -196,6 +196,39 @@ def test_exit_code_solver_error(tmp_path):
     assert main(["threshold", "-c", cfg, "-o", str(tmp_path / "o")]) == 3
 
 
+def test_exit_code_growth_without_rt_region(tmp_path):
+    out = tmp_path / "o"
+    assert main(["growth", "-o", str(out), "--set", "profile.n=64",
+                 "--set", "profile.rho0=2", "--set", "profile.slope=-1"]) == 2
+
+
+def test_escape_honours_growth_settings(tmp_path):
+    # a long slab puts the dominant mode above k = 1; growth.k_max = 1 must
+    # give the same Lambda to escape as to growth
+    sets = ["--set", "slab.l=4", "--set", "profile.n=64", "--set", "growth.k_max=1"]
+    cfg = _write(tmp_path, """
+[run]
+nx = 32
+ny = 32
+t_end = 0.1
+dt = 0.05
+
+[escape]
+deltas = 1e-3
+eps = 1e3
+""")
+    free = tmp_path / "free"
+    assert main(["growth", "-o", str(free), "--set", "slab.l=4", "--set", "profile.n=64"]) == 0
+    assert json.loads((free / "summary.json").read_text())["results"]["k_star"] > 1
+    lams = {}
+    for command in ("growth", "escape"):
+        out = tmp_path / command
+        assert main([command, "-c", cfg, "-o", str(out)] + sets) == 0
+        lams[command] = json.loads((out / "summary.json").read_text())["results"]["Lambda"]
+    assert lams["growth"] > 0
+    assert lams["escape"] == lams["growth"]
+
+
 def test_verify_single_fast_criterion(tmp_path, capsys):
     assert main(["verify", "-o", str(tmp_path / "o"), "--criteria", "2"]) == 0
     out = capsys.readouterr().out

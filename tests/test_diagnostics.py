@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nskrt import (SlabConfig, assemble_mode_quotient, bounded_decay_check,
-                   fit_growth, mode_threshold, poincare_min_quotient,
+                   fit_escape, fit_growth, mode_threshold, poincare_min_quotient,
                    potential_energy, read_series, record, write_series)
 from nskrt.diagnostics import RECORD_FIELDS, EnergyRecord
 from nskrt.operators import Grid
@@ -117,6 +117,19 @@ def test_fit_growth_errors():
         fit_growth(bad)                          # non-positive norms
     with pytest.raises(ValueError):
         fit_growth([_fake_record(0.0, 1.0)] * 20, ("nonsense",))
+
+
+def test_fit_escape_slope_and_censoring():
+    # T = 2 + ln(1/delta) / Lambda exactly: slope 1/Lambda, r^2 = 1, and a
+    # censored run (None) is dropped from the fit
+    lam = 0.25
+    pairs = [(d, 2.0 + math.log(1.0 / d) / lam) for d in (1e-4, 1e-3, 1e-2)]
+    fit = fit_escape(pairs + [(1e-5, None)])
+    assert fit.kind == "escape_slope"
+    assert fit.rate == pytest.approx(1.0 / lam, rel=1e-12)
+    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert fit.window == pytest.approx((math.log(1e2), math.log(1e4)))
+    assert fit_escape(pairs[:1] + [(1e-5, None)]) is None
 
 
 def test_fit_growth_negative_rate_for_decay():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
-from nskrt import (EigensolverError, SlabConfig, alpha, assemble_mode_forms,
+from nskrt import (ConfigError, EigensolverError, SlabConfig, alpha, assemble_mode_forms,
                    compute_growth, compute_kappa_c, growth,
                    make_boundary_flat_profile, make_linear_profile,
                    make_tanh_profile, mode_growth_rate, random_stabilizing_profile)
@@ -71,6 +71,13 @@ def test_alpha_rejects_negative_s(slab, linear_profile):
     f = assemble_mode_forms(linear_profile, slab, 1, N=64)
     with pytest.raises(ValueError):
         alpha(-0.5, f)
+
+
+def test_compute_growth_rejects_profile_without_rt_region(slab):
+    # density decreasing upward everywhere: no heavier-above region
+    p = make_linear_profile(2.0, -1.0, slab, N=64)
+    with pytest.raises(ConfigError, match="RT profile"):
+        compute_growth(p, slab, N=64)
 
 
 def test_fixed_point_residual(slab, linear_profile):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from nskrt import (CflError, ConfigError, SlabConfig, VacuumError,
+import nskrt.diagnostics
+from nskrt import (CflError, ConfigError, SimulationError, SlabConfig, VacuumError,
                    compute_growth, compute_kappa_c)
 from nskrt.diagnostics import fit_growth, record
 from nskrt.simulator import (Init, RunConfig, escape_time, init_state,
@@ -197,6 +200,37 @@ def test_escape_time_trivial_cases(slab, linear_profile):
     # eps far above anything reachable by t_end: censored
     res = escape_time(rc, linear_profile, slab, [1e-3], 1e3, gr=gr)
     assert res == [(1e-3, None)]
+
+
+@pytest.mark.parametrize("dt_mode", ["fixed", "adaptive"])
+def test_escape_time_matches_run_records(dt_mode, slab, linear_profile, monkeypatch):
+    # escape_time and run share one time loop: its crossing is the
+    # log-interpolated crossing of run's every-step l1_v records
+    gr = compute_growth(linear_profile, slab, N=96)
+    rc = RunConfig(Nx=32, Ny=32, t_end=3.0, dt_mode=dt_mode,
+                   dt=0.02 if dt_mode == "fixed" else None, output_every=1,
+                   init=Init("eigenfunction", delta=1e-3))
+    _, series = run(rc, linear_profile, slab, gr=gr)
+    eps = 1.3 * series[0].l1_v
+    i = next(i for i, r in enumerate(series) if r.l1_v >= eps)
+    lo, hi = series[i - 1], series[i]
+    frac = (math.log(eps) - math.log(lo.l1_v)) / (math.log(hi.l1_v) - math.log(lo.l1_v))
+    expected = lo.t + frac * (hi.t - lo.t)
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("escape_time took a record() snapshot")
+
+    monkeypatch.setattr(nskrt.diagnostics, "record", no_record)
+    assert escape_time(rc, linear_profile, slab, [1e-3], eps, gr=gr) == [(1e-3, expected)]
+
+
+def test_nan_state_raises(slab, linear_profile):
+    gr = compute_growth(linear_profile, slab, N=96)
+    rc = _zero_rc(linearized=True, dt=0.02, init=Init("eigenfunction", delta=1e-3))
+    s = init_state(rc, linear_profile, slab, gr=gr)
+    s.v1[3, 5] = np.nan
+    with pytest.raises(SimulationError, match="non-finite"):
+        step(s, rc, linear_profile, slab)
 
 
 def test_escape_time_stable_configuration(linear_profile):
