@@ -66,12 +66,11 @@ _SCHEMA = {
         "nx": ("int", REQUIRED), "ny": ("int", REQUIRED),
         "t_end": ("float", REQUIRED), "dt": ("float", math.nan),
         "cfl_adv": ("float", 0.5), "cfl_cap": ("float", 0.3),
-        "linearized": ("bool", False), "dealias": ("bool", True),
-        "seed": ("int", 0), "init": ("str", "eigenfunction"),
-        "delta": ("float", 1e-4), "cutoff": ("int", 4),
+        "linearized": ("bool", False), "seed": ("int", 0),
+        "init": ("str", "eigenfunction"), "delta": ("float", 1e-4),
+        "cutoff": ("int", 4),
         "init_file": ("str", ""), "output_every": ("int", 10),
         "checkpoint_every": ("int", 0), "projection_tol": ("float", 1e-10),
-        "rho_ghost": ("str", "free"),
     },
     "sweep": {"param": ("str", REQUIRED), "values": ("str", REQUIRED),
               "command": ("str", "growth")},
@@ -130,11 +129,11 @@ class ExperimentSpec:
             dt_mode="fixed" if fixed else "adaptive",
             dt=r["dt"] if fixed else None,
             cfl_adv=r["cfl_adv"], cfl_cap=r["cfl_cap"],
-            linearized=r["linearized"], dealias=r["dealias"], seed=r["seed"],
+            linearized=r["linearized"], seed=r["seed"],
             init=init, output_every=r["output_every"],
             checkpoint_every=r["checkpoint_every"] or None,
             checkpoint_dir=str(self.outdir),
-            projection_tol=r["projection_tol"], rho_ghost=r["rho_ghost"],
+            projection_tol=r["projection_tol"],
         )
 
 

@@ -96,18 +96,21 @@ RECORD_FIELDS = [f.name for f in dc_fields(EnergyRecord)]
 def potential_energy(w2_field: np.ndarray, p: DensityProfile, config: SlabConfig) -> float:
     """E evaluated on a vertical-velocity-like field (zero at the walls)."""
     nx, ny1 = w2_field.shape
-    g = Grid(nx, ny1 - 1, config.L, config.h, dealias=False)
-    pN = p.resample(ny1 - 1)
-    d1 = pN.d1.reshape(1, -1)
-    gw = config.g * g.integrate(d1 * w2_field**2)
-    grad2 = g.dx1(w2_field) ** 2 + g.dy(w2_field, -1) ** 2
-    return gw - config.kappa * g.integrate(d1**2 * grad2)
+    g = Grid(nx, ny1 - 1, config.L, config.h)
+    d1 = p.resample(ny1 - 1).d1.reshape(1, -1)
+    return _potential_energy(w2_field, g.dx1(w2_field), g.dy(w2_field, -1), g, d1, config)
+
+
+def _potential_energy(w2, dx_w2, dy_w2, g: Grid, d1, config: SlabConfig) -> float:
+    """E from w2 and its two derivatives, so callers that have them reuse them."""
+    gw = config.g * g.integrate(d1 * w2**2)
+    return gw - config.kappa * g.integrate(d1**2 * (dx_w2**2 + dy_w2**2))
 
 
 def record(s, p: DensityProfile, config: SlabConfig) -> EnergyRecord:
     """Compute every diagnostic for one simulation state."""
     nx, ny1 = s.v1.shape
-    g = Grid(nx, ny1 - 1, config.L, config.h, dealias=False)
+    g = Grid(nx, ny1 - 1, config.L, config.h)
     pN = p.resample(ny1 - 1)
     rho_b = pN.rho.reshape(1, -1)
     d1 = pN.d1.reshape(1, -1)
@@ -116,7 +119,7 @@ def record(s, p: DensityProfile, config: SlabConfig) -> EnergyRecord:
     dx_v1, dy_v1 = g.dx1(v1), g.dy(v1, +1)
     dx_v2, dy_v2 = g.dx1(v2), g.dy(v2, -1)
     # one-sided wall rows: the Navier-slip conditions do not pin the density
-    # perturbation at the walls (the simulator's default closure)
+    # perturbation at the walls (the simulator's closure)
     dx_r, dy_r = g.dx1(rho_p), dy_onesided(rho_p, g.dyy)
 
     def second(f, parity, dxf):
@@ -144,22 +147,22 @@ def record(s, p: DensityProfile, config: SlabConfig) -> EnergyRecord:
     # so the discrete energy balance closes to time-integration accuracy
     tight = sum(np.sum((f[:, 1:] - f[:, :-1]) ** 2) / g.dyy * g.dx
                 for f in (v1, v2))
-    spec_x = sum(g.integrate(g.dx1(f) ** 2) for f in (v1, v2))
+    spec_x = g.integrate(dx_v1**2) + g.integrate(dx_v2**2)
     viscous_diss = config.mu * (tight + spec_x)
-    epot = potential_energy(v2, pN, config)
+    epot = _potential_energy(v2, dx_v2, dy_v2, g, d1, config)
 
     w = 1.0 + s.t
     rep = check_admissibility(pN)
     eta_proxy = (w**3 * g.l2(rho_p / d1) ** 2) if rep.stabilizing else math.nan
 
-    div = g.dx1(v1) + g.dy(v2, -1)
+    div = dx_v1 + dy_v2
     linf_v = float(np.max(np.sqrt(v1**2 + v2**2)))
     div_rel = float(np.max(np.abs(div))) / max(linf_v, 1e-300)
     mass_pert = g.integrate(rho_p)
 
     if s.s2 is not None:
         l2_s2 = g.l2(s.s2)
-        epot_disp = potential_energy(s.s2, pN, config)
+        epot_disp = _potential_energy(s.s2, g.dx1(s.s2), g.dy(s.s2, -1), g, d1, config)
     else:
         l2_s2 = math.nan
         epot_disp = math.nan

@@ -112,7 +112,7 @@ class Grid:
     zero at the wall; odd ghosts make the wall value itself zero.
     """
 
-    def __init__(self, Nx: int, Ny: int, L: float, h: float, dealias: bool = True):
+    def __init__(self, Nx: int, Ny: int, L: float, h: float):
         self.Nx = int(Nx)
         self.Ny = int(Ny)
         self.L = float(L)
@@ -124,8 +124,7 @@ class Grid:
         # rfft wavenumbers: mode m has horizontal wavenumber m / L
         m = np.arange(Nx // 2 + 1)
         self.xi = (m / L).reshape(-1, 1)
-        keep = m <= Nx // 3 if dealias else m < Nx // 2  # Nyquist always dropped
-        self.mask = keep.reshape(-1, 1)
+        self.mask = (m <= Nx // 3).reshape(-1, 1)  # 2/3 rule
         self.wy = trapezoid_weights(Ny + 1, self.dyy)
 
     # -- spectral x1 ---------------------------------------------------

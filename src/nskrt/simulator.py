@@ -13,16 +13,14 @@ of the discrete scheme:
 The third-order part of the capillary stress is a pure gradient absorbed
 into beta, which is why only first derivatives of rho appear above.
 
-Discretization: pseudo-spectral in x1 (rfft, optional 2/3 dealiasing),
-second-order centered differences on a collocated uniform grid in y2 with
-parity ghost cells (v1 and pressure even, v2 odd; the Navier-slip wall
-conditions make those reflections exact).  No Eulerian wall condition for
-rho is implied by the wall conditions themselves, so the vertical density
-gradient inside the capillary stress defaults to an interior-consistent
-one-sided stencil; even (Neumann) and odd ghost closures are switchable
-because an imposed closure is a modeling choice whose effect on growth
-rates should be measured, not assumed (it is an O(dy) wall-layer
-perturbation of the capillary operator).
+Discretization: pseudo-spectral in x1 (rfft, 2/3 dealiasing of the
+explicit tendencies), second-order centered differences on a collocated
+uniform grid in y2 with parity ghost cells (v1 and pressure even, v2 odd;
+the Navier-slip wall conditions make those reflections exact).  The wall
+conditions imply none for rho, so the vertical density gradient inside the
+capillary stress uses one-sided wall rows (``dy_onesided``): an imposed
+ghost closure would add a wall condition the model does not have and
+perturb the capillary operator at O(dy) in a wall layer.
 
 Time stepping is one IMEX step per call: Strang-split Crank-Nicolson
 viscous half-steps (per-Fourier-mode tridiagonal solves with the y2-only
@@ -118,14 +116,12 @@ class RunConfig:
     cfl_adv: float = 0.5
     cfl_cap: float = 0.3
     linearized: bool = False
-    dealias: bool = True
     seed: int = 0
     init: Init = field(default_factory=Init)
     output_every: int = 10
     checkpoint_every: int | None = None
     checkpoint_dir: str | None = None
     projection_tol: float = 1e-10
-    rho_ghost: str = "free"       # wall closure for rho_pert in the capillary stress
 
     def __post_init__(self):
         if self.Nx < 4 or self.Nx & (self.Nx - 1):
@@ -136,8 +132,6 @@ class RunConfig:
             raise ConfigError(f"dt_mode must be 'fixed' or 'adaptive', got {self.dt_mode!r}")
         if self.dt_mode == "fixed" and not (self.dt and self.dt > 0):
             raise ConfigError("fixed dt_mode requires dt > 0")
-        if self.rho_ghost not in ("free", "even", "odd"):
-            raise ConfigError("rho_ghost must be 'free', 'even' or 'odd'")
         if self.output_every < 1:
             raise ConfigError("output_every must be >= 1")
 
@@ -162,29 +156,15 @@ class _Workspace:
     """Grid, equilibrium columns and cached banded factorizations."""
 
     def __init__(self, rc: RunConfig, p: DensityProfile, config: SlabConfig):
-        self.grid = Grid(rc.Nx, rc.Ny, config.L, config.h, dealias=rc.dealias)
+        self.grid = Grid(rc.Nx, rc.Ny, config.L, config.h)
         pN = p.resample(rc.Ny)
         self.profile = pN
         self.rho_b = pN.rho.reshape(1, -1)
         self.d1 = pN.d1.reshape(1, -1)
         self.c_base = 1.0 / self.rho_b                 # 1/rho_bar(y2)
         self.nu_base = config.mu * self.c_base         # CN viscosity coefficient
-        self.rho_ghost = rc.rho_ghost
         self._proj_factor = None
         self._cn_factors: dict[float, "_TriFactor"] = {}
-
-    def dy_rho(self, f: np.ndarray) -> np.ndarray:
-        """Vertical derivative of the density perturbation.
-
-        'free' (default) imposes no wall condition (one-sided wall rows,
-        second order everywhere); 'even'/'odd' apply ghost reflections so
-        the sensitivity to an imposed wall closure can be measured.  A
-        ghost closure shifts the capillary operator by O(dy) in a wall
-        layer, which biases growth rates at first order in the grid.
-        """
-        if self.rho_ghost == "free":
-            return dy_onesided(f, self.grid.dyy)
-        return self.grid.dy(f, +1 if self.rho_ghost == "even" else -1)
 
 
 @lru_cache(maxsize=8)
@@ -354,7 +334,7 @@ def _explicit_rhs(s: FieldState, ws: _Workspace, rc: RunConfig, config: SlabConf
     kap = config.kappa
     rho_p, v1, v2 = s.rho_pert, s.v1, s.v2
     rx = g.dx1(rho_p)
-    ry = ws.dy_rho(rho_p)
+    ry = dy_onesided(rho_p, g.dyy)
 
     if rc.linearized:
         r_rho = -v2 * ws.d1
@@ -379,10 +359,9 @@ def _explicit_rhs(s: FieldState, ws: _Workspace, rc: RunConfig, config: SlabConf
         r_v1 = -adv1 + c * f1
         r_v2 = -adv2 + c * (f2 - config.g * rho_p)
 
-    if rc.dealias:
-        r_rho = g.dealias_field(r_rho)
-        r_v1 = g.dealias_field(r_v1)
-        r_v2 = g.dealias_field(r_v2)
+    r_rho = g.dealias_field(r_rho)
+    r_v1 = g.dealias_field(r_v1)
+    r_v2 = g.dealias_field(r_v2)
     r_v2[:, 0] = 0.0
     r_v2[:, -1] = 0.0
     return r_rho, r_v1, r_v2
@@ -749,16 +728,19 @@ def escape_time(rc: RunConfig, p: DensityProfile, config: SlabConfig,
 
     Returns [(delta, T_escape or None)] with None marking runs censored at
     t_end.  The crossing is interpolated in log amplitude between steps.
+    rc.init must be an eigenfunction init; each of deltas replaces its delta.
     """
     from .growth import compute_growth
 
+    if rc.init.kind != "eigenfunction":
+        raise ConfigError(f"escape runs need an eigenfunction init, got {rc.init.kind!r}")
     if gr is None:
         gr = compute_growth(p, config)
     if gr.Lambda <= 0.0:
         return [(float(d), None) for d in deltas]
     out = []
     for delta in deltas:
-        rc_d = replace(rc, init=replace(rc.init, kind="eigenfunction", delta=float(delta)))
+        rc_d = replace(rc, init=replace(rc.init, delta=float(delta)))
         state = init_state(rc_d, p, config, gr=gr)
         grid = _workspace(rc_d, p, config).grid
         t_prev, l_prev = state.t, _l1_speed(state, grid)
@@ -802,6 +784,8 @@ def read_checkpoint(path: str | Path, rc: RunConfig) -> FieldState:
         raise ConfigError(
             f"{path}: expected {1 + 3 * npt} floats for Nx={rc.Nx}, Ny={rc.Ny}, "
             f"got {data.size}")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"{path}: non-finite time or field value")
     t = float(data[0])
     shape = (rc.Nx, rc.Ny + 1)
     fields = [data[1 + i * npt: 1 + (i + 1) * npt].reshape(shape).copy() for i in range(3)]

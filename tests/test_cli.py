@@ -229,6 +229,35 @@ eps = 1e3
     assert lams["escape"] == lams["growth"]
 
 
+def test_escape_rejects_non_eigenfunction_init(tmp_path):
+    cfg = _write(tmp_path, "[run]\nnx = 32\nny = 32\nt_end = 0.1\ndt = 0.05\n"
+                           "[escape]\ndeltas = 1e-3\neps = 1e3\n")
+    assert main(["escape", "-c", cfg, "-o", str(tmp_path / "o"),
+                 "--set", "profile.n=64", "--set", "run.init=zero"]) == 2
+
+
+def test_removed_run_keys_are_unknown(tmp_path):
+    # the capillary wall closure and the 2/3 dealiasing are fixed, not options
+    for line in ("rho_ghost = even", "dealias = false"):
+        cfg = _write(tmp_path, f"[run]\nnx = 32\nny = 32\nt_end = 0.1\n{line}\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_spec("simulate", cfg)
+
+
+def test_simulate_rejects_non_finite_checkpoint(tmp_path):
+    out = tmp_path / "a"
+    sets = ["--set", "profile.n=64", "--set", "run.nx=32", "--set", "run.ny=32",
+            "--set", "run.t_end=0.04", "--set", "run.dt=0.02",
+            "--set", "run.init=random_smooth", "--set", "run.delta=1e-3"]
+    assert main(["simulate", "-o", str(out)] + sets) == 0
+    ckpt = out / "final.bin"
+    raw = bytearray(ckpt.read_bytes())
+    raw[-8:] = np.array([np.nan], "<f8").tobytes()
+    ckpt.write_bytes(bytes(raw))
+    assert main(["simulate", "-o", str(tmp_path / "b")] + sets
+                + ["--set", "run.init=file", "--set", f"run.init_file={ckpt}"]) == 2
+
+
 def test_verify_single_fast_criterion(tmp_path, capsys):
     assert main(["verify", "-o", str(tmp_path / "o"), "--criteria", "2"]) == 0
     out = capsys.readouterr().out

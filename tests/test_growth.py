@@ -322,7 +322,8 @@ def _bisection_oracle(forms, width=1e-14):
 
 
 @st.composite
-def growth_cases(draw):
+def stabilizing_profiles(draw):
+    """(profile, kappa-free slab, N, kappa_c at N) for a random or tanh profile."""
     N = draw(st.sampled_from([48, 64, 96]))
     config = SlabConfig(g=1.0, mu=draw(st.floats(0.05, 0.3)), kappa=0.0, L=1.0, h=1.0)
     if draw(st.booleans()):
@@ -332,9 +333,23 @@ def growth_cases(draw):
         p = make_tanh_profile(config, N, amp=draw(st.floats(0.2, 1.0)),
                               steepness=draw(st.floats(2.0, 10.0)),
                               reg_slope=draw(st.floats(0.05, 0.5)))
-    kc = compute_kappa_c(p, config, N=N).kappa_c
+    return p, config, N, compute_kappa_c(p, config, N=N).kappa_c
+
+
+@st.composite
+def growth_cases(draw):
+    p, config, N, kc = draw(stabilizing_profiles())
     frac = draw(st.floats(0.0, 0.95))
     return p, dataclasses.replace(config, kappa=frac * kc), N
+
+
+@given(stabilizing_profiles(),
+       st.one_of(st.floats(0.5, 0.97), st.floats(1.03, 1.5)))
+def test_threshold_dichotomy_on_nonlinear_profiles(case, frac):
+    # Lambda > 0 exactly below the threshold, for profiles other than linear
+    p, config, N, kc = case
+    gr = compute_growth(p, dataclasses.replace(config, kappa=frac * kc), N=N)
+    assert (gr.Lambda > 0) == (frac < 1.0)
 
 
 @given(growth_cases())
