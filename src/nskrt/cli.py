@@ -24,9 +24,13 @@ import argparse
 import difflib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .diagnostics import fit_escape, write_series
@@ -263,6 +267,8 @@ def _summary_skeleton(spec: ExperimentSpec) -> dict:
     return {
         "command": spec.command,
         "version": __version__,
+        "environment": {"numpy": np.__version__, "scipy": scipy.__version__, **{
+            var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}},
         "config_file": spec.config_path,
         "overrides": spec.overrides,
         "resolved": spec.values,

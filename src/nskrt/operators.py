@@ -78,14 +78,15 @@ def second_difference_form(n_interior: int, dy: float) -> np.ndarray:
     resulting pentadiagonal form is the simply-supported discrete
     biharmonic: its minimizers satisfy phi = 0 and phi'' = 0 at the walls,
     i.e. the wall condition enters naturally rather than being imposed.
+    Written out, dy * D2^T D2 with D2 = tridiag(1, -2, 1)/dy^2 is
+    (1, -4, 6, -4, 1)/dy^3, less 1 on the diagonal of each wall row.
     """
     n = n_interior
-    D2 = np.zeros((n, n))
-    idx = np.arange(n)
-    D2[idx, idx] = -2.0 / dy**2
-    D2[idx[:-1], idx[:-1] + 1] = 1.0 / dy**2
-    D2[idx[1:], idx[1:] - 1] = 1.0 / dy**2
-    return dy * (D2.T @ D2)
+    F = 6.0 * np.eye(n) - 4.0 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    F += np.eye(n, k=2) + np.eye(n, k=-2)
+    F[0, 0] -= 1.0
+    F[-1, -1] -= 1.0
+    return F / dy**3
 
 
 # ---------------------------------------------------------------------------

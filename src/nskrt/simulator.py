@@ -59,6 +59,7 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import CflError, ConfigError, SimulationError, VacuumError
 from .operators import Grid, dy_onesided
@@ -163,7 +164,7 @@ class _Workspace:
         self.d1 = pN.d1.reshape(1, -1)
         self.c_base = 1.0 / self.rho_b                 # 1/rho_bar(y2)
         self.nu_base = config.mu * self.c_base         # CN viscosity coefficient
-        self._proj_factor = None
+        self.proj_factor, self.proj_order = _projection_factor(self)
         self._cn_factors: dict[float, "_TriFactor"] = {}
 
 
@@ -177,35 +178,29 @@ def _workspace(rc: RunConfig, p: DensityProfile, config: SlabConfig) -> _Workspa
 # ---------------------------------------------------------------------------
 
 class _TriFactor:
-    """Eliminated tridiagonal systems, batched over the first axis.
+    """LU factor of tridiagonal systems, batched over the leading axes.
 
     sub[..., i] multiplies x[..., i-1] in row i (sub[..., 0] unused), and
-    sup[..., i] multiplies x[..., i+1] (sup[..., -1] unused).  Forward
-    elimination happens once; repeated right-hand sides reuse it.
+    sup[..., i] multiplies x[..., i+1] (sup[..., -1] unused).  The batch is
+    flattened into one block-diagonal system (the unused entries are the
+    zero couplings between blocks) and factored once by LAPACK dgttrf;
+    repeated right-hand sides reuse the factor through dgttrs.
     """
 
     def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray):
-        n = diag.shape[-1]
-        d = diag.copy()
-        w = np.zeros_like(diag)
-        for i in range(1, n):
-            w[..., i] = sub[..., i] / d[..., i - 1]
-            d[..., i] = d[..., i] - w[..., i] * sup[..., i - 1]
-        self.w = w
-        self.d = d
-        self.sup = sup
+        dl, du = np.array(sub, dtype=float), np.array(sup, dtype=float)
+        dl[..., 0] = du[..., -1] = 0.0
+        self.shape = diag.shape
+        *self.lu, info = dgttrf(dl.reshape(-1)[1:], np.ravel(diag), du.reshape(-1)[:-1])
+        if info != 0:
+            raise SimulationError(f"tridiagonal factor is singular (dgttrf info={info})")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        n = rhs.shape[-1]
-        w, d, sup = self.w, self.d, self.sup
-        b = rhs.copy()
-        for i in range(1, n):
-            b[..., i] -= w[..., i] * b[..., i - 1]
-        x = np.empty_like(b)
-        x[..., -1] = b[..., -1] / d[..., -1]
-        for i in range(n - 2, -1, -1):
-            x[..., i] = (b[..., i] - sup[..., i] * x[..., i + 1]) / d[..., i]
-        return x
+        """Solve for a complex right-hand side of the factor's shape; the
+        real and imaginary parts are the two columns of one dgttrs call."""
+        b = np.ascontiguousarray(rhs, dtype=complex).view(float).reshape(-1, 2)
+        x, _ = dgttrs(*self.lu, b)
+        return np.ascontiguousarray(x).view(complex).reshape(self.shape)
 
 
 def _cn_factor(ws: _Workspace, dt: float) -> _TriFactor:
@@ -249,63 +244,36 @@ def _cn_solve_pair(rhs1_hat: np.ndarray, rhs2_hat: np.ndarray, ws: _Workspace,
     return sol[:M], sol[M:]
 
 
-def _projection_factor(ws: _Workspace):
-    """Factor of the per-mode operator [Dy(c0 Dy .) - xi^2 c0] (Neumann ghosts).
+def _projection_factor(ws: _Workspace) -> tuple[_TriFactor, np.ndarray]:
+    """Factor of the per-mode operator [Dy(c0 Dy .) - xi^2 c0] (Neumann ghosts)
+    and the node order it is factored in.
 
-    The wide centered operator decouples even and odd vertical node chains,
-    each a tridiagonal system in the stride-2 variable; wall closures come
-    from the even ghost reflection of phi.  The two chains (and all modes)
-    are batched into one factorization, built once per workspace; mode 0
-    rows are trivial identities, masked by the caller.
+    The wide centered stencil couples node j only to j - 2 and j + 2, so
+    the even and the odd nodes form two chains; the wall rows take the even
+    ghost reflection of phi.  With the even nodes listed before the odd
+    ones the operator is tridiagonal: the chains meet with zero coupling.
+    Mode 0 rows are identities, masked by the caller.
     """
-    if ws._proj_factor is not None:
-        return ws._proj_factor
     g = ws.grid
     c = ws.c_base[0]
     n = g.Ny + 1
-    xi2 = (g.xi**2).reshape(-1)
-    M = xi2.size
+    xi2 = g.xi**2
     s = 1.0 / (4.0 * g.dyy**2)
-    idx0 = np.arange(0, n, 2)
-    idx1 = np.arange(1, n, 2)
-    width = idx0.size                          # >= idx1.size, differs by <= 1
-    sub = np.zeros((2 * M, width)); sup = np.zeros((2 * M, width))
-    diag = np.ones((2 * M, width))
-    for row, idx in ((0, idx0), (M, idx1)):
-        m = idx.size
-        blk = slice(row, row + M)
-        inner = idx[1:-1]
-        sub[blk, 1:m - 1] = c[inner - 1] * s
-        sup[blk, 1:m - 1] = c[inner + 1] * s
-        diag[blk, 1:m - 1] = -(c[inner - 1] + c[inner + 1]) * s - xi2[:, None] * c[inner]
-        j0, jl = idx[0], idx[-1]
-        f0 = 2.0 if j0 == 0 else 1.0           # even-ghost reflection factor
-        fl = 2.0 if jl == n - 1 else 1.0
-        sup[blk, 0] = f0 * c[j0 + 1] * s
-        diag[blk, 0] = -f0 * c[j0 + 1] * s - xi2 * c[j0]
-        sub[blk, m - 1] = fl * c[jl - 1] * s
-        diag[blk, m - 1] = -fl * c[jl - 1] * s - xi2 * c[jl]
-        if m < width:                          # padded trailing identity row
-            sub[blk, m:] = 0.0
-            diag[blk, m:] = 1.0
-        # mode 0 is handled by the caller; keep its rows trivially regular
-        diag[row, :] = 1.0
-        sub[row, :] = 0.0
-        sup[row, :] = 0.0
-    ws._proj_factor = (_TriFactor(sub, diag, sup), idx0, idx1, width)
-    return ws._proj_factor
+    sub = np.zeros((xi2.size, n))
+    sup = np.zeros((xi2.size, n))
+    sub[:, 2:] = sup[:, :-2] = c[1:-1] * s
+    sup[:, 0] *= 2.0                           # even-ghost reflection at the walls
+    sub[:, -1] *= 2.0
+    diag = -(sub + sup) - xi2 * c
+    diag[0], sub[0], sup[0] = 1.0, 0.0, 0.0
+    order = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)])
+    return _TriFactor(sub[:, order], diag[:, order], sup[:, order]), order
 
 
 def _projection_solve(r_hat: np.ndarray, ws: _Workspace) -> np.ndarray:
-    factor, idx0, idx1, width = _projection_factor(ws)
-    M, n = r_hat.shape
-    rhs = np.zeros((2 * M, width), dtype=r_hat.dtype)
-    rhs[:M, :idx0.size] = r_hat[:, idx0]
-    rhs[M:, :idx1.size] = r_hat[:, idx1]
-    sol = factor.solve(rhs)
-    phi = np.zeros_like(r_hat)
-    phi[:, idx0] = sol[:M, :idx0.size]
-    phi[:, idx1] = sol[M:, :idx1.size]
+    order = ws.proj_order
+    phi = np.empty_like(r_hat)
+    phi[:, order] = ws.proj_factor.solve(r_hat[:, order])
     phi[0] = 0.0
     return phi
 
@@ -317,7 +285,7 @@ def _projection_solve(r_hat: np.ndarray, ws: _Workspace) -> np.ndarray:
 def _fv_transport_div(v2: np.ndarray, q: np.ndarray, dyy: float) -> np.ndarray:
     """Vertical flux divergence of q by v2 in finite-volume form.
 
-    Node control volumes (half width at the walls) with midpoint fluxes and
+    Node control volumes (halved at the walls) with midpoint fluxes and
     zero wall flux (v2 vanishes there): the discrete total mass telescopes
     to rounding error.
     """

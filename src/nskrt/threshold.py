@@ -27,7 +27,8 @@ grid.
 
 Each mode is discretized with second-order finite differences (midpoint
 stiffness, trapezoid mass) into a symmetric-definite pencil A phi =
-lambda B phi solved by Cholesky-reduced dense eigensolves.
+lambda B phi with A diagonal and B tridiagonal, which reduces to one
+symmetric tridiagonal eigenproblem per mode (``mode_threshold``).
 """
 
 from __future__ import annotations
@@ -102,17 +103,26 @@ def mode_threshold(op: ModeQuotientOperator) -> tuple[float, np.ndarray]:
 
     Returns the per-mode threshold kappa_C(xi) and phi on the full node set
     (unit L2 norm, sign fixed so the largest-magnitude component is positive).
-    A non-finite pencil raises EigensolverError.
+    A is diagonal, so kappa_C(xi) = 1/mu_min of the tridiagonal
+    A^{-1/2} B A^{-1/2}, and phi = A^{-1/2} psi.  A non-finite pencil raises
+    EigensolverError, an entry of A <= 0 (rho' <= 0 at a node)
+    DegenerateThresholdError.
     """
     if not (np.all(np.isfinite(op.A)) and np.all(np.isfinite(op.B))):
         raise EigensolverError("mode quotient pencil has non-finite entries")
-    n = op.A.shape[0]
+    a = np.diag(op.A)
+    if not np.all(a > 0.0):
+        raise DegenerateThresholdError("rho' is not positive at every node")
+    r = 1.0 / np.sqrt(a)
     try:
-        vals, vecs = scipy.linalg.eigh(op.A, op.B, subset_by_index=[n - 1, n - 1],
-                                       check_finite=False)
+        # bisection to near underflow: the default tolerance eps*|T|_1 would
+        # leave mu_min only about 1e-10 relative
+        vals, vecs = scipy.linalg.eigh_tridiagonal(
+            r * np.diag(op.B) * r, r[:-1] * np.diag(op.B, 1) * r[1:], select="i",
+            select_range=(0, 0), tol=2.0 * np.finfo(float).tiny, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise EigensolverError(f"mode quotient eigensolve failed: {exc}") from exc
-    return float(vals[0]), _normalize_eigvec(vecs[:, 0], op.nodes)
+    return float(1.0 / vals[0]), _normalize_eigvec(r * vecs[:, 0], op.nodes)
 
 
 def remark_bound(p: DensityProfile, config: SlabConfig) -> float:

@@ -82,6 +82,9 @@ def test_threshold_command(tmp_path):
     kc = summary["results"]["kappa_c"]
     assert abs(kc - REFERENCE_KAPPA_C) <= 1e-3 * REFERENCE_KAPPA_C
     assert summary["version"]
+    env = summary["environment"]
+    assert set(env) == {"numpy", "scipy", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+    assert env["numpy"] and env["scipy"]
     lines = (out / "modes.csv").read_text().strip().split("\n")
     assert lines[0] == "k,xi,kappa_c_k" and len(lines) == 9
 

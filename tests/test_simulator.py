@@ -7,9 +7,9 @@ import nskrt.diagnostics
 from nskrt import (CflError, ConfigError, SimulationError, SlabConfig, VacuumError,
                    compute_growth, compute_kappa_c)
 from nskrt.diagnostics import fit_growth, record
-from nskrt.simulator import (Init, RunConfig, escape_time, init_state,
-                             make_state, read_checkpoint, run, step,
-                             suggest_dt, write_checkpoint)
+from nskrt.simulator import (Init, RunConfig, _cn_solve_pair, _projection_solve,
+                             _TriFactor, _workspace, escape_time, init_state, make_state,
+                             read_checkpoint, run, step, suggest_dt, write_checkpoint)
 
 from conftest import REFERENCE_KAPPA_C
 
@@ -18,6 +18,50 @@ def _zero_rc(**kw):
     base = dict(Nx=32, Ny=32, t_end=1.0, dt=0.05, init=Init("zero"))
     base.update(kw)
     return RunConfig(**base)
+
+
+def _random_modes(ws, seed):
+    """Random complex rfft coefficients with modes 0 and Nyquist zeroed."""
+    g = ws.grid
+    rng = np.random.default_rng(seed)
+    shape = (g.xi.shape[0], g.Ny + 1)
+    r = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    r[0] = 0.0
+    r[-1] = 0.0
+    return r
+
+
+# Ny = 32 gives even and odd node chains of unequal length, Ny = 33 equal ones
+@pytest.mark.parametrize("Ny", [32, 33])
+def test_projection_solve_inverts_wide_operator(Ny, slab, linear_profile):
+    ws = _workspace(_zero_rc(Ny=Ny), linear_profile, slab)
+    g, c0 = ws.grid, ws.c_base
+    r_hat = _random_modes(ws, Ny)
+    phi = g.irfft(_projection_solve(r_hat, ws))
+    rhs = g.irfft(r_hat)
+    back = g.dx1(c0 * g.dx1(phi)) + g.dy(c0 * g.dy(phi, +1), -1)
+    assert np.max(np.abs(back - rhs)) <= 1e-10 * np.max(np.abs(rhs))
+
+
+@pytest.mark.parametrize("Ny", [32, 33])
+def test_cn_solve_pair_solves_mirror_and_dirichlet_rows(Ny, slab, linear_profile):
+    ws = _workspace(_zero_rc(Ny=Ny), linear_profile, slab)
+    g, dt = ws.grid, 0.05
+    rhs1, rhs2 = _random_modes(ws, 1), _random_modes(ws, 2)
+    v1, v2 = _cn_solve_pair(rhs1, rhs2, ws, dt)
+    a = 0.5 * dt * ws.nu_base
+    lhs1 = v1 - a * (g.d2y(v1, +1) - g.xi**2 * v1)
+    lhs2 = v2 - a * (g.d2y(v2, -1) - g.xi**2 * v2)
+    scale = max(np.max(np.abs(rhs1)), np.max(np.abs(rhs2)))
+    assert np.max(np.abs(lhs1 - rhs1)) <= 1e-12 * scale
+    assert np.max(np.abs(lhs2 - rhs2)[:, 1:-1]) <= 1e-12 * scale
+    assert np.max(np.abs(v2[:, [0, -1]])) <= 1e-12 * scale
+
+
+def test_singular_tridiagonal_factor_raises():
+    zero = np.zeros((2, 5))
+    with pytest.raises(SimulationError, match="singular"):
+        _TriFactor(zero, zero, zero)
 
 
 def test_equilibrium_is_exact_fixed_point(slab, linear_profile):

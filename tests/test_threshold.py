@@ -2,12 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nskrt import (DegenerateThresholdError, EigensolverError, SlabConfig,
                    assemble_mode_quotient, compute_kappa_c, make_boundary_flat_profile,
                    make_linear_profile, make_tanh_profile, mode_threshold,
                    random_stabilizing_profile, remark_bound,
                    two_dim_quotient_ascent)
+from nskrt.diagnostics import poincare_min_quotient
 from nskrt.threshold import write_modes_csv
 
 from conftest import REFERENCE_KAPPA_C
@@ -52,6 +54,25 @@ def test_mode_threshold_closed_form(slab):
     p2 = make_linear_profile(1.0, 2.0, slab, N=512)
     lam2, _ = mode_threshold(assemble_mode_quotient(p2, slab, 1))
     assert abs(lam2 - lam / 2.0) <= 1e-6
+
+
+def test_negative_slope_threshold_is_degenerate(slab):
+    # rho' < 0 everywhere: the gravity form A is negative definite, so no
+    # positive threshold exists
+    p = make_linear_profile(2.0, -1.0, slab, N=64)
+    with pytest.raises(DegenerateThresholdError):
+        mode_threshold(assemble_mode_quotient(p, slab, 1))
+
+
+def test_threshold_needs_no_dense_eigensolve(slab, linear_profile, monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("dense eigh called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
+    res = compute_kappa_c(linear_profile, slab, N=256)
+    assert abs(res.kappa_c - REFERENCE_KAPPA_C) <= 1e-3 * REFERENCE_KAPPA_C
+    exact = np.pi**2 + 1.0
+    assert abs(poincare_min_quotient(slab, Ny=256) - exact) <= 1e-3 * exact
 
 
 def test_tanh_regression_frozen_value(slab):
