@@ -411,18 +411,18 @@ def _project(v1: np.ndarray, v2: np.ndarray, rho_p: np.ndarray, dt: float,
 # ---------------------------------------------------------------------------
 
 def _explicit_substep(s: FieldState, dt: float, ws: _Workspace, rc: RunConfig,
-                      config: SlabConfig, beta: np.ndarray,
+                      config: SlabConfig, grad_beta: tuple[np.ndarray, np.ndarray],
                       rhs=None) -> FieldState:
     """Forward-Euler building block: explicit forces, predicted pressure,
     divergence corrector.  Viscosity is handled outside (Strang halves);
-    beta is the step's predicted pressure (held fixed across the SSP
-    stages, which leaves only an O(dt^2) divergence for the corrector)."""
-    g = ws.grid
+    grad_beta is the gradient of the step's predicted pressure (held fixed
+    across the SSP stages, which leaves only an O(dt^2) divergence for the
+    corrector)."""
     r_rho, r_v1, r_v2 = rhs if rhs is not None else _explicit_rhs(s, ws, rc, config)
     rho_new = s.rho_pert + dt * r_rho
     c_old = ws.c_base if rc.linearized else 1.0 / (ws.rho_b + s.rho_pert)
-    v1 = s.v1 + dt * (r_v1 - c_old * g.dx1(beta))
-    v2 = s.v2 + dt * (r_v2 - c_old * g.dy(beta, +1))
+    v1 = s.v1 + dt * (r_v1 - c_old * grad_beta[0])
+    v2 = s.v2 + dt * (r_v2 - c_old * grad_beta[1])
     v1, v2 = _project(v1, v2, rho_new, dt, ws, rc)
     s2 = None if s.s2 is None else s.s2 + dt * s.v2
     return FieldState(s.t + dt, rho_new, v1, v2, s.step_index, s2)
@@ -535,9 +535,11 @@ def step(s: FieldState, rc: RunConfig, p: DensityProfile, config: SlabConfig,
     rhs0 = _explicit_rhs(sv, ws, rc, config)
     c_sv = ws.c_base if rc.linearized else 1.0 / (ws.rho_b + sv.rho_pert)
     beta = _predict_pressure(rhs0[1], rhs0[2], c_sv, ws, rc)
-    u1 = _explicit_substep(sv, dt, ws, rc, config, beta, rhs=rhs0)
-    u2 = _combine(0.75, sv, 0.25, _explicit_substep(u1, dt, ws, rc, config, beta))
-    u3 = _combine(1.0 / 3.0, sv, 2.0 / 3.0, _explicit_substep(u2, dt, ws, rc, config, beta))
+    grad_beta = (ws.grid.dx1(beta), ws.grid.dy(beta, +1))
+    u1 = _explicit_substep(sv, dt, ws, rc, config, grad_beta, rhs=rhs0)
+    u2 = _combine(0.75, sv, 0.25, _explicit_substep(u1, dt, ws, rc, config, grad_beta))
+    u3 = _combine(1.0 / 3.0, sv, 2.0 / 3.0,
+                  _explicit_substep(u2, dt, ws, rc, config, grad_beta))
     out = _viscous_half(u3, 0.5 * dt, ws, rc, project=True)
     out.t = s.t + dt
     out.step_index = s.step_index + 1
