@@ -23,8 +23,8 @@ from .profiles import (AdmissibilityReport, DensityProfile, SlabConfig,
                        make_tabulated_profile, make_tanh_profile,
                        random_stabilizing_profile, save_profile)
 from .simulator import (FieldState, Init, RunConfig, escape_time, init_state,
-                        make_state, read_checkpoint, run, step, suggest_dt,
-                        write_checkpoint)
+                        make_state, read_checkpoint, run, solver_iterations, step,
+                        suggest_dt, write_checkpoint)
 from .threshold import (ModeQuotientOperator, ThresholdResult,
                         assemble_mode_quotient, compute_kappa_c,
                         mode_threshold, remark_bound, two_dim_quotient_ascent)

@@ -40,7 +40,8 @@ from .growth import write_modes_csv as write_growth_csv
 from .profiles import (DensityProfile, SlabConfig, load_profile,
                        make_boundary_flat_profile, make_linear_profile,
                        make_tanh_profile)
-from .simulator import Init, RunConfig, escape_time, run, write_checkpoint
+from .simulator import (Init, RunConfig, escape_time, run, solver_iterations,
+                        write_checkpoint)
 from .threshold import compute_kappa_c
 from .threshold import write_modes_csv as write_threshold_csv
 
@@ -337,6 +338,7 @@ def _cmd_simulate(spec: ExperimentSpec, summary: dict) -> None:
         "mass_drift": abs(series[-1].mass_pert - series[0].mass_pert),
         "Lambda": None if gr is None else gr.Lambda,
         "projection_tol": rc.projection_tol,
+        **solver_iterations(rc, p, config),
     }
 
 
@@ -359,6 +361,7 @@ def _cmd_escape(spec: ExperimentSpec, summary: dict) -> None:
         "pairs": [[d, t] for d, t in pairs],
         "fitted_slope": None if fit is None else fit.rate,
         "r_squared": None if fit is None else fit.r_squared,
+        **solver_iterations(rc, p, config),
     }
 
 

@@ -147,21 +147,22 @@ class Grid:
 
     # -- vertical ghosts -----------------------------------------------
 
-    def _pad(self, f: np.ndarray, parity: int) -> np.ndarray:
-        """Append one reflected ghost node on each side of axis 1."""
-        lo = parity * f[:, 1:2]
-        hi = parity * f[:, -2:-1]
-        return np.concatenate([lo, f, hi], axis=1)
+    def _pad(self, f: np.ndarray, parity) -> np.ndarray:
+        """Append one reflected ghost node on each side of the last axis."""
+        lo = parity * f[..., 1:2]
+        hi = parity * f[..., -2:-1]
+        return np.concatenate([lo, f, hi], axis=-1)
 
-    def dy(self, f: np.ndarray, parity: int) -> np.ndarray:
-        """Wide centered d/dy2 with parity ghosts (+1 even, -1 odd)."""
+    def dy(self, f: np.ndarray, parity) -> np.ndarray:
+        """Wide centered d/dy2 with parity ghosts (+1 even, -1 odd; an
+        array of parities broadcasts against the leading axes)."""
         g = self._pad(f, parity)
-        return (g[:, 2:] - g[:, :-2]) / (2.0 * self.dyy)
+        return (g[..., 2:] - g[..., :-2]) / (2.0 * self.dyy)
 
-    def d2y(self, f: np.ndarray, parity: int) -> np.ndarray:
-        """Compact second difference with parity ghosts."""
+    def d2y(self, f: np.ndarray, parity) -> np.ndarray:
+        """Compact second difference with parity ghosts (as in ``dy``)."""
         g = self._pad(f, parity)
-        return (g[:, 2:] - 2.0 * f + g[:, :-2]) / self.dyy**2
+        return (g[..., 2:] - 2.0 * f + g[..., :-2]) / self.dyy**2
 
     # -- quadrature and norms --------------------------------------------
 

@@ -75,6 +75,7 @@ __all__ = [
     "suggest_dt",
     "run",
     "escape_time",
+    "solver_iterations",
     "write_checkpoint",
     "read_checkpoint",
 ]
@@ -154,23 +155,56 @@ class FieldState:
 
 
 class _Workspace:
-    """Grid, equilibrium columns and cached banded factorizations."""
+    """Grid, equilibrium columns, cached banded factorizations and the
+    conjugate-gradient iteration counts of the steps taken on them."""
 
-    def __init__(self, rc: RunConfig, p: DensityProfile, config: SlabConfig):
-        self.grid = Grid(rc.Nx, rc.Ny, config.L, config.h)
-        pN = p.resample(rc.Ny)
+    def __init__(self, Nx: int, Ny: int, p: DensityProfile, config: SlabConfig):
+        self.grid = Grid(Nx, Ny, config.L, config.h)
+        pN = p.resample(Ny)
         self.profile = pN
         self.rho_b = pN.rho.reshape(1, -1)
         self.d1 = pN.d1.reshape(1, -1)
         self.c_base = 1.0 / self.rho_b                 # 1/rho_bar(y2)
+        self.mu = config.mu
         self.nu_base = config.mu * self.c_base         # CN viscosity coefficient
-        self.proj_factor, self.proj_order = _projection_factor(self)
+        xi2 = self.grid.xi**2
+        self.proj_factor, self.proj_order = _projection_factor(self, xi2)
+        # the variable-density operator has no x1-derivative at Nyquist
+        # (Grid.dx1 zeroes it), so its preconditioner's Nyquist rows trade
+        # xi^2 for a shift of the size of the low vertical eigenvalues,
+        # (2 pi / h)^2, which keeps them definite
+        xi2 = xi2.copy()
+        xi2[-1] = (2.0 * math.pi / config.h)**2
+        self.pcg_factor = _projection_factor(self, xi2)[0]
         self._cn_factors: dict[float, "_TriFactor"] = {}
+        self.iterations = {"projection": 0, "viscous": 0}  # of the current step
+        self.per_step: list[dict[str, int]] = []       # one entry per step taken
+
+
+def _workspace(rc: RunConfig, p: DensityProfile, config: SlabConfig) -> _Workspace:
+    """The workspace of rc's grid: runs that differ only in other settings
+    (the escape scan's amplitudes, say) share it."""
+    return _grid_workspace(rc.Nx, rc.Ny, p, config)
 
 
 @lru_cache(maxsize=8)
-def _workspace(rc: RunConfig, p: DensityProfile, config: SlabConfig) -> _Workspace:
-    return _Workspace(rc, p, config)
+def _grid_workspace(Nx: int, Ny: int, p: DensityProfile, config: SlabConfig) -> _Workspace:
+    return _Workspace(Nx, Ny, p, config)
+
+
+def solver_iterations(rc: RunConfig, p: DensityProfile, config: SlabConfig) -> dict:
+    """Conjugate-gradient iterations per step of the projection and viscous
+    solves (mean and max; None before any step) over the steps taken on
+    rc's grid since the last ``run`` or ``escape_time`` on it began.  The
+    linearized solves are direct and count zero."""
+    steps = _workspace(rc, p, config).per_step
+    out = {}
+    for kind in ("projection", "viscous"):
+        counts = [n[kind] for n in steps]
+        out[f"{kind}_iterations_per_step"] = {
+            "mean": sum(counts) / len(counts) if counts else None,
+            "max": max(counts, default=None)}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -207,26 +241,24 @@ def _cn_factor(ws: _Workspace, dt: float) -> _TriFactor:
     """Factor of (I - dt/2 nu_base (D2y - xi^2)) for both velocity rows.
 
     v1 wall rows use the even-ghost mirror Laplacian, v2 wall rows are
-    pinned to zero (Dirichlet); the two banded systems sit in one batch
-    (v1 block first).  Cached per step size.
+    pinned to zero (Dirichlet); the systems are batched as (mode, row, y2),
+    row 0 for v1 and row 1 for v2.  Cached per step size.
     """
     cached = ws._cn_factors.get(dt)
     if cached is not None:
         return cached
     g = ws.grid
-    xi2 = g.xi**2
-    M = xi2.shape[0]
-    n = g.Ny + 1
+    shape = (g.xi.shape[0], 2, g.Ny + 1)
     dyy = g.dyy
     a = 0.5 * dt * ws.nu_base[0]               # (n,) coefficient column
-    sub = np.empty((2 * M, n)); sup = np.empty((2 * M, n)); diag = np.empty((2 * M, n))
+    sub = np.empty(shape); sup = np.empty(shape); diag = np.empty(shape)
     sub[:] = -a / dyy**2
     sup[:] = -a / dyy**2
-    diag[:] = 1.0 + a * (2.0 / dyy**2 + np.vstack([xi2, xi2]))
-    sup[:M, 0] = -2.0 * a[0] / dyy**2          # v1 mirror rows
-    sub[:M, -1] = -2.0 * a[-1] / dyy**2
-    diag[M:, 0] = 1.0;  sup[M:, 0] = 0.0       # v2 Dirichlet rows
-    diag[M:, -1] = 1.0; sub[M:, -1] = 0.0
+    diag[:] = 1.0 + a * (2.0 / dyy**2 + g.xi[:, :, None]**2)
+    sup[:, 0, 0] = -2.0 * a[0] / dyy**2        # v1 mirror rows
+    sub[:, 0, -1] = -2.0 * a[-1] / dyy**2
+    diag[:, 1, 0] = 1.0;  sup[:, 1, 0] = 0.0   # v2 Dirichlet rows
+    diag[:, 1, -1] = 1.0; sub[:, 1, -1] = 0.0
     factor = _TriFactor(sub, diag, sup)
     if len(ws._cn_factors) > 16:               # adaptive runs: bounded cache
         ws._cn_factors.clear()
@@ -236,16 +268,15 @@ def _cn_factor(ws: _Workspace, dt: float) -> _TriFactor:
 
 def _cn_solve_pair(rhs1_hat: np.ndarray, rhs2_hat: np.ndarray, ws: _Workspace,
                    dt: float):
-    M = rhs1_hat.shape[0]
-    rhs = np.concatenate([rhs1_hat, rhs2_hat], axis=0)
-    rhs[M:, 0] = 0.0
-    rhs[M:, -1] = 0.0
+    rhs = np.stack([rhs1_hat, rhs2_hat], axis=1)
+    rhs[:, 1, 0] = 0.0
+    rhs[:, 1, -1] = 0.0
     sol = _cn_factor(ws, dt).solve(rhs)
-    return sol[:M], sol[M:]
+    return sol[:, 0], sol[:, 1]
 
 
-def _projection_factor(ws: _Workspace) -> tuple[_TriFactor, np.ndarray]:
-    """Factor of the per-mode operator [Dy(c0 Dy .) - xi^2 c0] (Neumann ghosts)
+def _projection_factor(ws: _Workspace, xi2: np.ndarray) -> tuple[_TriFactor, np.ndarray]:
+    """Factor of the per-mode operator [Dy(c0 Dy .) - xi2 c0] (Neumann ghosts)
     and the node order it is factored in.
 
     The wide centered stencil couples node j only to j - 2 and j + 2, so
@@ -257,7 +288,6 @@ def _projection_factor(ws: _Workspace) -> tuple[_TriFactor, np.ndarray]:
     g = ws.grid
     c = ws.c_base[0]
     n = g.Ny + 1
-    xi2 = g.xi**2
     s = 1.0 / (4.0 * g.dyy**2)
     sub = np.zeros((xi2.size, n))
     sup = np.zeros((xi2.size, n))
@@ -270,10 +300,11 @@ def _projection_factor(ws: _Workspace) -> tuple[_TriFactor, np.ndarray]:
     return _TriFactor(sub[:, order], diag[:, order], sup[:, order]), order
 
 
-def _projection_solve(r_hat: np.ndarray, ws: _Workspace) -> np.ndarray:
+def _projection_solve(r_hat: np.ndarray, ws: _Workspace, factor=None) -> np.ndarray:
+    """Per-mode base-coefficient solve (ws.proj_factor unless given)."""
     order = ws.proj_order
     phi = np.empty_like(r_hat)
-    phi[:, order] = ws.proj_factor.solve(r_hat[:, order])
+    phi[:, order] = (factor or ws.proj_factor).solve(r_hat[:, order])
     phi[0] = 0.0
     return phi
 
@@ -339,34 +370,92 @@ def _explicit_rhs(s: FieldState, ws: _Workspace, rc: RunConfig, config: SlabConf
 # projection
 # ---------------------------------------------------------------------------
 
+def _pcg(x, r, apply_a, precond, dot, tol: float, cap: int, fail: str,
+         test_update: bool = False):
+    """Preconditioned conjugate gradients for A x = b from x, r = b - A x.
+
+    A (apply_a) and the preconditioner are symmetric positive definite in
+    the inner product dot.  The iteration stops once max|r| <= tol, or with
+    test_update once max|z| <= tol for z = precond(r), the size of the next
+    update.  A zero residual returns x untouched; a curvature that is not
+    finite and positive, or more than cap iterations, raises
+    SimulationError.  Returns (x, r, iterations).
+    """
+    it, p = 0, None
+    while test_update or float(np.max(np.abs(r))) > tol:
+        z = precond(r)
+        if test_update and float(np.max(np.abs(z))) <= tol:
+            break
+        rz = dot(r, z)
+        if rz == 0.0:                          # zero residual: x is exact
+            break
+        if it == cap:
+            raise SimulationError(fail)
+        p = z if p is None else z + (rz / rz_old) * p
+        q = apply_a(p)
+        pq = dot(p, q)
+        if not (math.isfinite(rz) and math.isfinite(pq) and rz > 0.0 and pq > 0.0):
+            raise SimulationError(
+                f"conjugate gradient breakdown (r.z = {rz:.3g}, p.Ap = {pq:.3g})")
+        alpha = rz / pq
+        x = x + alpha * p
+        r = r - alpha * q
+        rz_old = rz
+        it += 1
+    return x, r, it
+
+
+def _dot(f: np.ndarray, h: np.ndarray) -> float:
+    """Trapezoid inner product of real fields over (x1, y2), up to the
+    constant factor dx dy that conjugate gradients do not see."""
+    walls = np.vdot(f[..., 0], h[..., 0]) + np.vdot(f[..., -1], h[..., -1])
+    return float(np.vdot(f, h) - 0.5 * walls)
+
+
 def _var_poisson(rhs: np.ndarray, c: np.ndarray, ws: _Workspace, rc: RunConfig,
-                 ref_scale: float, what: str) -> np.ndarray:
+                 ref_scale: float, what: str):
     """Solve div(c grad phi) = rhs on the k >= 1 modes (mode 0 untouched).
 
-    Per-mode banded solves with the y2-only base coefficient 1/rho_bar;
-    the (c - 1/rho_bar) remainder is folded in by deferred correction
-    until the residual falls below projection_tol * ref_scale.
+    With the base coefficient c = 1/rho_bar this is one per-mode banded
+    solve.  Otherwise -div(c grad .), symmetric positive semidefinite in the
+    trapezoid inner product (its null space, grad phi = 0, is independent
+    of c and orthogonal to every divergence), is solved by conjugate
+    gradients preconditioned by s (base solve) s with s = sqrt(c0 / c),
+    until the true residual, recomputed from phi, falls below
+    projection_tol * ref_scale.  Returns (phi, c d1 phi, c d2 phi), the
+    fluxes None on the one-solve path.
     """
     g = ws.grid
-    c0 = ws.c_base
-    r_hat = g.rfft(rhs)
-    r_hat[0] = 0.0
-    phi_hat = _projection_solve(r_hat, ws)
-    if c is c0:
-        return g.irfft(phi_hat)
+    if c is ws.c_base:
+        b_hat = g.rfft(rhs)
+        b_hat[0] = 0.0
+        return g.irfft(_projection_solve(b_hat, ws)), None, None
     tol = rc.projection_tol * max(ref_scale, 1e-300)
-    for _ in range(60):
-        phi = g.irfft(phi_hat)
-        gx = c * g.dx1(phi)
-        gy = c * g.dy(phi, +1)
-        resid = rhs - (g.dx1(gx) + g.dy(gy, -1))
-        res_hat = g.rfft(resid)
-        res_hat[0] = 0.0
-        if float(np.max(np.abs(g.irfft(res_hat)))) <= tol:
-            return phi
-        phi_hat = phi_hat + _projection_solve(res_hat, ws)
-    raise SimulationError(
-        f"{what} solve failed to reach tolerance {tol:.3g} in 60 iterations")
+    fail = f"{what} solve failed to reach tolerance {tol:.3g} in 60 iterations"
+    scale = np.sqrt(ws.c_base / c)
+
+    def flux(phi):
+        return c * g.dx1(phi), c * g.dy(phi, +1)
+
+    def minus_div(fx, fy):                     # k >= 1 modes of -div(fx, fy)
+        d = g.dx1(fx) + g.dy(fy, -1)
+        return np.mean(d, axis=0, keepdims=True) - d
+
+    def precond(r):
+        z = scale * g.irfft(_projection_solve(g.rfft(scale * r), ws, ws.pcg_factor))
+        return np.mean(z, axis=0, keepdims=True) - z
+
+    b = rhs - np.mean(rhs, axis=0, keepdims=True)
+    phi, res, total = np.zeros_like(b), -b, 0
+    while True:
+        phi, res, n = _pcg(phi, res, lambda p: minus_div(*flux(p)), precond, _dot,
+                           tol, 60 - total, fail)
+        total += n
+        fx, fy = flux(phi)
+        res = -(b + minus_div(fx, fy))         # true residual of -A phi = -b
+        if float(np.max(np.abs(res))) <= tol:
+            ws.iterations["projection"] += total
+            return phi, fx, fy
 
 
 def _predict_pressure(a1: np.ndarray, a2: np.ndarray, c: np.ndarray,
@@ -382,7 +471,7 @@ def _predict_pressure(a1: np.ndarray, a2: np.ndarray, c: np.ndarray,
     g = ws.grid
     rhs = g.dx1(a1) + g.dy(a2, -1)
     scale = float(max(np.max(np.abs(rhs)), 1e-300))
-    beta = _var_poisson(rhs, c, ws, rc, scale, "pressure prediction")
+    beta = _var_poisson(rhs, c, ws, rc, scale, "pressure prediction")[0]
     a2bar = np.mean(a2, axis=0)
     beta0 = cumulative_trapezoid(a2bar / ws.c_base[0], g.y, initial=0.0)
     return beta + beta0.reshape(1, -1)
@@ -395,9 +484,13 @@ def _project(v1: np.ndarray, v2: np.ndarray, rho_p: np.ndarray, dt: float,
     c = ws.c_base if rc.linearized else 1.0 / (ws.rho_b + rho_p)
     div = g.dx1(v1) + g.dy(v2, -1)
     vscale = max(np.max(np.abs(v1)), np.max(np.abs(v2)), 1e-300)
-    phi = _var_poisson(div / dt, c, ws, rc, vscale / dt, "projection")
-    v1 = v1 - dt * c * g.dx1(phi)
-    v2 = v2 - dt * c * g.dy(phi, +1)
+    phi, fx, fy = _var_poisson(div / dt, c, ws, rc, vscale / dt, "projection")
+    if fx is None:
+        v1 = v1 - dt * c * g.dx1(phi)
+        v2 = v2 - dt * c * g.dy(phi, +1)
+    else:
+        v1 = v1 - dt * fx
+        v2 = v2 - dt * fy
     # k = 0 mode: the only divergence-free horizontal mean of v2 vanishing
     # at the walls is zero
     v2 = v2 - np.mean(v2, axis=0, keepdims=True)
@@ -432,47 +525,54 @@ def _viscous_half(s: FieldState, half: float, ws: _Workspace, rc: RunConfig,
                   project: bool) -> FieldState:
     """Crank-Nicolson half-step for the viscosity (mu/rho) lap v.
 
-    The y2-only base coefficient mu/rho_bar is the banded implicit solve;
-    the x1-dependent remainder is folded in by deferred correction so the
-    full variable coefficient is treated implicitly.  An explicit
-    remainder would be anti-diffusive wherever rho > rho_bar, and the
-    Crank-Nicolson halves are not L-stable, so grid-scale vertical modes
-    would amplify; implicit treatment removes that failure mode entirely.
+    Times rho, the implicit system is rho v - (half/2) mu lap v = rho v_old
+    + (half/2) mu lap v_old, symmetric positive definite in the trapezoid
+    inner product for both velocity rows (v1 mirror, v2 Dirichlet wall
+    rows).  With rho = rho_bar it is the banded per-mode solve; otherwise
+    conjugate gradients in rfft space, preconditioned by that solve and
+    started from v_old, run until the preconditioned residual (the size of
+    the next update) is below projection_tol * |v_old|_inf.  The full
+    variable coefficient is implicit: an explicit remainder would be
+    anti-diffusive wherever rho > rho_bar, and the Crank-Nicolson halves
+    are not L-stable, so grid-scale vertical modes would amplify.
     """
     g = ws.grid
-
-    def lap(f1, f2):
-        return (g.d2y(f1, +1) - g.irfft(g.xi**2 * g.rfft(f1)),
-                g.d2y(f2, -1) - g.irfft(g.xi**2 * g.rfft(f2)))
-
-    xi2 = g.xi**2
     a = 0.5 * half
-    lap1_old, lap2_old = lap(s.v1, s.v2)
     if rc.linearized:
+        def lap(f1, f2):
+            return (g.d2y(f1, +1) - g.irfft(g.xi**2 * g.rfft(f1)),
+                    g.d2y(f2, -1) - g.irfft(g.xi**2 * g.rfft(f2)))
+
+        lap1_old, lap2_old = lap(s.v1, s.v2)
         rhs1 = g.rfft(s.v1 + a * ws.nu_base * lap1_old)
         rhs2 = g.rfft(s.v2 + a * ws.nu_base * lap2_old)
         s1, s2 = _cn_solve_pair(rhs1, rhs2, ws, half)
         v1, v2 = g.irfft(s1), g.irfft(s2)
     else:
-        nu_full = _full_nu(ws, s.rho_pert)
-        base1 = s.v1 + a * nu_full * lap1_old
-        base2 = s.v2 + a * nu_full * lap2_old
-        v1, v2 = s.v1, s.v2
+        # the pair as one (x1, row, y2) array, row 0 for v1 and row 1 for v2
+        factor = _cn_factor(ws, half)
+        rho = (ws.rho_b + s.rho_pert)[:, None, :]
+        scale = np.sqrt(ws.rho_b / rho)
+        c_scale = ws.c_base * scale
+        amu = a * ws.mu                                # (half/2) mu
+        parity = np.array([[1.0], [-1.0]])
+        xi2 = g.xi[:, :, None]**2
+
+        def lap(f):
+            return g.d2y(f, parity) - g.irfft(xi2 * g.rfft(f))
+
+        def precond(r):                                # scale P^-1 scale, P = rho_bar - amu lap
+            return scale * g.irfft(factor.solve(g.rfft(c_scale * r)))
+
         vscale = max(float(np.max(np.abs(s.v1))), float(np.max(np.abs(s.v2))), 1e-300)
         tol = rc.projection_tol * vscale
-        for _ in range(40):
-            lap1_new, lap2_new = lap(v1, v2)
-            rhs1 = g.rfft(base1 + a * (nu_full - ws.nu_base) * lap1_new)
-            rhs2 = g.rfft(base2 + a * (nu_full - ws.nu_base) * lap2_new)
-            s1, s2 = _cn_solve_pair(rhs1, rhs2, ws, half)
-            n1, n2 = g.irfft(s1), g.irfft(s2)
-            delta = max(float(np.max(np.abs(n1 - v1))), float(np.max(np.abs(n2 - v2))))
-            v1, v2 = n1, n2
-            if delta <= tol:
-                break
-        else:
-            raise SimulationError(
-                f"implicit viscous solve failed to reach {tol:.3g} in 40 iterations")
+        v = np.stack([s.v1, s.v2], axis=1)
+        v, _, n = _pcg(
+            v, 2.0 * amu * lap(v), lambda p: rho * p - amu * lap(p), precond, _dot,
+            tol, 40, f"implicit viscous solve failed to reach tolerance {tol:.3g} "
+            "in 40 iterations", test_update=True)
+        ws.iterations["viscous"] += n
+        v1, v2 = v[:, 0].copy(), v[:, 1].copy()
     if project:
         # the per-mode viscous solves do not commute with the discrete
         # divergence in the wall rows; clean the O(dt*nu) remainder
@@ -485,10 +585,6 @@ def _viscous_half(s: FieldState, half: float, ws: _Workspace, rc: RunConfig,
         v2[:, 0] = 0.0
         v2[:, -1] = 0.0
     return FieldState(s.t, s.rho_pert, v1, v2, s.step_index, s.s2)
-
-
-def _full_nu(ws: _Workspace, rho_p: np.ndarray) -> np.ndarray:
-    return ws.nu_base * ws.rho_b / (ws.rho_b + rho_p)
 
 
 def _combine(a: float, sa: FieldState, b: float, sb: FieldState) -> FieldState:
@@ -530,6 +626,7 @@ def step(s: FieldState, rc: RunConfig, p: DensityProfile, config: SlabConfig,
     if not (dt and dt > 0 and math.isfinite(dt)):
         raise SimulationError(f"cannot step with dt={dt}")
     vmax_old = max(float(np.max(np.abs(s.v1))), float(np.max(np.abs(s.v2))))
+    ws.iterations = {"projection": 0, "viscous": 0}
 
     sv = _viscous_half(s, 0.5 * dt, ws, rc, project=False)
     rhs0 = _explicit_rhs(sv, ws, rc, config)
@@ -554,6 +651,7 @@ def step(s: FieldState, rc: RunConfig, p: DensityProfile, config: SlabConfig,
             f"t={out.t:.6g}; fixed dt={dt:g} violates a stability limit")
     if rho_min <= 0.0:
         raise VacuumError(f"total density reached zero at t={out.t:.6g}")
+    ws.per_step.append(ws.iterations)
     return out
 
 
@@ -678,6 +776,7 @@ def run(rc: RunConfig, p: DensityProfile, config: SlabConfig, gr=None):
     """
     from .diagnostics import record
 
+    _workspace(rc, p, config).per_step.clear()
     state = init_state(rc, p, config, gr=gr)
     records = [record(state, p, config)]
     for state in _steps(state, rc, p, config):
@@ -708,6 +807,7 @@ def escape_time(rc: RunConfig, p: DensityProfile, config: SlabConfig,
         gr = compute_growth(p, config)
     if gr.Lambda <= 0.0:
         return [(float(d), None) for d in deltas]
+    _workspace(rc, p, config).per_step.clear()
     out = []
     for delta in deltas:
         rc_d = replace(rc, init=replace(rc.init, delta=float(delta)))

@@ -115,6 +115,13 @@ def test_growth_command_writes_eigenfunctions(tmp_path):
     assert data.shape[1] == 2
 
 
+def _assert_iterations(results):
+    """Nonlinear runs report the conjugate-gradient iterations per step."""
+    for kind in ("projection", "viscous"):
+        stats = results[f"{kind}_iterations_per_step"]
+        assert 1 <= stats["mean"] <= stats["max"] <= 60
+
+
 def test_simulate_command(tmp_path):
     cfg = _write(tmp_path, BASE + """
 [run]
@@ -132,6 +139,7 @@ output_every = 5
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"]["steps"] == 20
     assert summary["results"]["max_div_rel"] <= 1e-8
+    _assert_iterations(summary["results"])
     assert (out / "series.csv").exists()
     assert (out / "final.bin").read_bytes().startswith(b"nsk-ckpt v1\n")
 
@@ -184,6 +192,7 @@ eps = 0.05
     pairs = summary["results"]["pairs"]
     assert len(pairs) == 2 and all(t is not None for _, t in pairs)
     assert pairs[0][1] > pairs[1][1]          # smaller delta escapes later
+    _assert_iterations(summary["results"])
     lines = (out / "escape.csv").read_text().strip().split("\n")
     assert lines[0] == "delta,t_escape,censored"
 

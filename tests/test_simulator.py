@@ -7,9 +7,11 @@ import nskrt.diagnostics
 from nskrt import (CflError, ConfigError, SimulationError, SlabConfig, VacuumError,
                    compute_growth, compute_kappa_c)
 from nskrt.diagnostics import fit_growth, record
-from nskrt.simulator import (Init, RunConfig, _cn_solve_pair, _projection_solve,
-                             _TriFactor, _workspace, escape_time, init_state, make_state,
-                             read_checkpoint, run, step, suggest_dt, write_checkpoint)
+from nskrt.simulator import (FieldState, Init, RunConfig, _cn_solve_pair, _dot, _pcg,
+                             _projection_solve, _TriFactor, _var_poisson, _viscous_half,
+                             _workspace, escape_time, init_state, make_state,
+                             read_checkpoint, run, solver_iterations, step, suggest_dt,
+                             write_checkpoint)
 
 from conftest import REFERENCE_KAPPA_C
 
@@ -62,6 +64,127 @@ def test_singular_tridiagonal_factor_raises():
     zero = np.zeros((2, 5))
     with pytest.raises(SimulationError, match="singular"):
         _TriFactor(zero, zero, zero)
+
+
+def _spd_system(n=12, seed=0):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((n, n))
+    return q @ q.T + n * np.eye(n), rng.standard_normal(n)
+
+
+def test_pcg_zero_residual_returns_exact_zeros():
+    a, _ = _spd_system()
+    x, r, n = _pcg(np.zeros(12), np.zeros(12), lambda p: a @ p, lambda r: r, np.dot,
+                   0.0, 60, "unused")
+    assert n == 0 and np.all(x == 0.0) and np.all(r == 0.0)
+    x, _, n = _pcg(np.zeros(12), np.zeros(12), lambda p: a @ p, lambda r: r, np.dot,
+                   0.0, 60, "unused", test_update=True)
+    assert n == 0 and np.all(x == 0.0)
+
+
+def test_pcg_solves_spd_system():
+    a, b = _spd_system()
+    x, r, n = _pcg(np.zeros(12), b.copy(), lambda p: a @ p, lambda r: r / np.diag(a),
+                   np.dot, 1e-12, 60, "unused")
+    assert n <= 12
+    assert np.max(np.abs(a @ x - b)) <= 1e-12
+    assert np.allclose(r, b - a @ x, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", ["indefinite", "nan"])
+def test_pcg_breakdown_raises(bad):
+    a, b = _spd_system()
+    apply_a = (lambda p: -(a @ p)) if bad == "indefinite" else (lambda p: np.full_like(p, np.nan))
+    with pytest.raises(SimulationError, match="breakdown"):
+        _pcg(np.zeros(12), b, apply_a, lambda r: r, np.dot, 1e-12, 60, "unused")
+
+
+def test_pcg_iteration_cap_raises():
+    a, b = _spd_system()
+    with pytest.raises(SimulationError, match="failed to reach tolerance 1e-12 in 2 iterations"):
+        _pcg(np.zeros(12), b, lambda p: a @ p, lambda r: r, np.dot, 1e-12, 2,
+             "test solve failed to reach tolerance 1e-12 in 2 iterations")
+
+
+def test_solve_cap_keeps_message_shape(slab, linear_profile):
+    # an unreachable tolerance exhausts the projection's 60 iterations
+    rc = _zero_rc(init=Init("random_smooth", delta=0.1), seed=3, projection_tol=1e-30)
+    with pytest.raises(SimulationError,
+                       match=r"projection solve failed to reach tolerance \S+ in 60 iterations"):
+        init_state(rc, linear_profile, slab)
+
+
+def _strong_contrast(Nx, Ny, slab, linear_profile):
+    """A nonlinear workspace and a density with rho/rho_bar spanning 0.3-1.7."""
+    rc = _zero_rc(Nx=Nx, Ny=Ny, dt=0.01)
+    ws = _workspace(rc, linear_profile, slab)
+    g = ws.grid
+    shape = np.sin(g.x).reshape(-1, 1) * np.cos(np.pi * g.y).reshape(1, -1)
+    rho_p = 0.7 * ws.rho_b * shape
+    ratio = (ws.rho_b + rho_p) / ws.rho_b
+    assert ratio.min() <= 0.3 + 1e-12 and ratio.max() >= 1.7 - 1e-12
+    return rc, ws, rho_p
+
+
+def test_projection_converges_at_strong_contrast(slab, linear_profile):
+    rc, ws, rho_p = _strong_contrast(64, 64, slab, linear_profile)
+    g = ws.grid
+    rng = np.random.default_rng(5)
+    v1, v2 = rng.standard_normal((2, 64, 65))
+    v2[:, [0, -1]] = 0.0                        # a divergence of a field with v2 = 0 on the walls
+    rhs = g.dx1(v1) + g.dy(v2, -1)
+    rhs -= np.mean(rhs, axis=0, keepdims=True)
+    c = 1.0 / (ws.rho_b + rho_p)
+    ws.iterations = {"projection": 0, "viscous": 0}
+    scale = float(np.max(np.abs(rhs)))
+    phi, fx, fy = _var_poisson(rhs, c, ws, rc, scale, "projection")
+    assert ws.iterations["projection"] <= 40
+    assert np.array_equal(fx, c * g.dx1(phi)) and np.array_equal(fy, c * g.dy(phi, +1))
+    resid = g.dx1(fx) + g.dy(fy, -1) - rhs
+    resid -= np.mean(resid, axis=0, keepdims=True)
+    assert np.max(np.abs(resid)) <= rc.projection_tol * scale
+
+
+def test_viscous_solve_converges_at_strong_contrast(slab, linear_profile):
+    rc, ws, rho_p = _strong_contrast(64, 64, slab, linear_profile)
+    g = ws.grid
+    rng = np.random.default_rng(6)
+    v1, v2 = rng.standard_normal((2, 64, 65))
+    v2[:, [0, -1]] = 0.0
+    half = 0.005
+    ws.iterations = {"projection": 0, "viscous": 0}
+    out = _viscous_half(FieldState(0.0, rho_p, v1, v2), half, ws, rc, project=False)
+    assert ws.iterations["viscous"] < 40
+    # v1's Crank-Nicolson equation, times rho: rho v - (half/2) mu lap v
+    rho, amu = ws.rho_b + rho_p, 0.5 * half * slab.mu
+
+    def lap(f):
+        return g.d2y(f, +1) - g.irfft(g.xi**2 * g.rfft(f))
+
+    resid = rho * out.v1 - amu * lap(out.v1) - (rho * v1 + amu * lap(v1))
+    assert np.max(np.abs(resid)) <= 1e-8 * np.max(np.abs(rho * v1))
+
+
+@pytest.mark.parametrize("Nx, dt, kappa_frac, delta", [
+    (32, 0.02, None, 0.05),     # Nyquist stall of the deferred-correction projection
+    (64, 0.01, 0.25, 0.1),      # density contrast 0.4-1.6 at kappa > 0
+    (64, 0.01, 0.0, 0.2),
+])
+def test_strong_seeds_run_twenty_steps(Nx, dt, kappa_frac, delta, linear_profile):
+    # the parent's deferred-correction sweeps raised SimulationError here
+    base = SlabConfig(g=1.0, mu=0.1, kappa=0.0, L=1.0, h=1.0)
+    kappa = 0.03 if kappa_frac is None else \
+        kappa_frac * compute_kappa_c(linear_profile, base, N=128).kappa_c
+    config = SlabConfig(g=1.0, mu=0.1, kappa=kappa, L=1.0, h=1.0)
+    gr = compute_growth(linear_profile, config, N=128)
+    rc = RunConfig(Nx=Nx, Ny=Nx, t_end=20 * dt, dt=dt, output_every=20,
+                   init=Init("eigenfunction", delta=delta))
+    final, series = run(rc, linear_profile, config, gr=gr)
+    assert final.step_index == 20
+    assert max(r.div_rel for r in series) <= 1e-8
+    its = solver_iterations(rc, linear_profile, config)
+    assert its["projection_iterations_per_step"]["max"] <= 5 * 24
+    assert its["viscous_iterations_per_step"]["max"] <= 2 * 24
 
 
 def test_equilibrium_is_exact_fixed_point(slab, linear_profile):
