@@ -23,17 +23,24 @@ ghost closure would add a wall condition the model does not have and
 perturb the capillary operator at O(dy) in a wall layer.
 
 Time stepping is one IMEX step per call: Strang-split Crank-Nicolson
-viscous half-steps (per-Fourier-mode tridiagonal solves with the y2-only
-base coefficient mu/rho_bar; the x1-dependent remainder of mu/rho is
-folded in implicitly by deferred correction) around an explicit SSP-RK3
-sweep of transport, advection, gravity and the capillary stress, each
-explicit substep followed by a variable-density projection
+viscous half-steps with the full coefficient mu/rho implicit, around an
+explicit SSP-RK3 sweep of transport, advection, gravity and the capillary
+stress, each explicit substep followed by a variable-density projection
 
-    div( (1/rho) grad phi ) = div(v*) / dt,    d2 phi = 0 at the walls,
+    div( (1/rho) grad phi ) = div(v*) / dt,    d2 phi = 0 at the walls.
 
-solved by per-mode banded solves with the y2-only base coefficient
-1/rho_bar and deferred correction of the (1/rho - 1/rho_bar) remainder
-until the discrete divergence is at rounding level.  Each substep first
+Both implicit problems are symmetric in the trapezoid inner product:
+-div((1/rho) grad .) is positive semidefinite (its null space, grad phi =
+0, does not depend on rho and is orthogonal to every discrete divergence)
+and the Crank-Nicolson system times rho is positive definite.  Each is
+solved by preconditioned conjugate gradients whose preconditioner is the
+per-Fourier-mode tridiagonal solve with the y2-only base coefficient
+(1/rho_bar, mu/rho_bar), wrapped in the diagonal scaling sqrt(rho/rho_bar)
+or its inverse, until the discrete divergence or the next update is at
+rounding level.  The convergence rate depends on the density contrast
+only through the spread of rho/rho_bar, which carries the solves to
+rho/rho_bar in 0.3-1.7.  Linearized runs keep rho = rho_bar in both
+operators, and there each is one direct banded solve.  Each substep first
 predicts the pressure from the instantaneous force balance (the same
 elliptic solve applied to div of the acceleration), so the corrector only
 removes an O(dt^2) divergence and the projection's kinetic-energy
@@ -266,15 +273,6 @@ def _cn_factor(ws: _Workspace, dt: float) -> _TriFactor:
     return factor
 
 
-def _cn_solve_pair(rhs1_hat: np.ndarray, rhs2_hat: np.ndarray, ws: _Workspace,
-                   dt: float):
-    rhs = np.stack([rhs1_hat, rhs2_hat], axis=1)
-    rhs[:, 1, 0] = 0.0
-    rhs[:, 1, -1] = 0.0
-    sol = _cn_factor(ws, dt).solve(rhs)
-    return sol[:, 0], sol[:, 1]
-
-
 def _projection_factor(ws: _Workspace, xi2: np.ndarray) -> tuple[_TriFactor, np.ndarray]:
     """Factor of the per-mode operator [Dy(c0 Dy .) - xi2 c0] (Neumann ghosts)
     and the node order it is factored in.
@@ -416,14 +414,16 @@ def _var_poisson(rhs: np.ndarray, c: np.ndarray, ws: _Workspace, rc: RunConfig,
                  ref_scale: float, what: str):
     """Solve div(c grad phi) = rhs on the k >= 1 modes (mode 0 untouched).
 
-    With the base coefficient c = 1/rho_bar this is one per-mode banded
-    solve.  Otherwise -div(c grad .), symmetric positive semidefinite in the
-    trapezoid inner product (its null space, grad phi = 0, is independent
-    of c and orthogonal to every divergence), is solved by conjugate
-    gradients preconditioned by s (base solve) s with s = sqrt(c0 / c),
-    until the true residual, recomputed from phi, falls below
-    projection_tol * ref_scale.  Returns (phi, c d1 phi, c d2 phi), the
-    fluxes None on the one-solve path.
+    With the base coefficient c = c0 = 1/rho_bar this is one per-mode
+    banded solve.  Otherwise -div(c grad .), symmetric positive semidefinite
+    in the trapezoid inner product (its null space, grad phi = 0, is
+    independent of c and orthogonal to every divergence), is solved by
+    conjugate gradients preconditioned by s (base solve) s with s =
+    sqrt(c0 / c), the base solve's Nyquist rows matched to the operator
+    (ws.pcg_factor).  The exit test is the true residual, recomputed from
+    phi, at or below projection_tol * ref_scale; the fluxes of that
+    evaluation are returned for the velocity update.  Returns (phi,
+    c d1 phi, c d2 phi), the fluxes None on the one-solve path.
     """
     g = ws.grid
     if c is ws.c_base:
@@ -456,6 +456,8 @@ def _var_poisson(rhs: np.ndarray, c: np.ndarray, ws: _Workspace, rc: RunConfig,
         if float(np.max(np.abs(res))) <= tol:
             ws.iterations["projection"] += total
             return phi, fx, fy
+        if n == 0:                             # r.z underflowed: no progress left
+            raise SimulationError(fail)
 
 
 def _predict_pressure(a1: np.ndarray, a2: np.ndarray, c: np.ndarray,
@@ -528,51 +530,45 @@ def _viscous_half(s: FieldState, half: float, ws: _Workspace, rc: RunConfig,
     Times rho, the implicit system is rho v - (half/2) mu lap v = rho v_old
     + (half/2) mu lap v_old, symmetric positive definite in the trapezoid
     inner product for both velocity rows (v1 mirror, v2 Dirichlet wall
-    rows).  With rho = rho_bar it is the banded per-mode solve; otherwise
-    conjugate gradients in rfft space, preconditioned by that solve and
-    started from v_old, run until the preconditioned residual (the size of
-    the next update) is below projection_tol * |v_old|_inf.  The full
-    variable coefficient is implicit: an explicit remainder would be
-    anti-diffusive wherever rho > rho_bar, and the Crank-Nicolson halves
-    are not L-stable, so grid-scale vertical modes would amplify.
+    rows).  With rho = rho_bar (linearized runs) it is one banded per-mode
+    solve.  Otherwise conjugate gradients, started from v_old and
+    preconditioned by s P^-1 s with P = rho_bar - (half/2) mu lap (the
+    Crank-Nicolson factor applied to r / rho_bar) and s = sqrt(rho_bar /
+    rho), run until the preconditioned residual, the size of the next
+    update, is at most projection_tol * |v_old|_inf.  The full variable
+    coefficient is implicit: an explicit remainder would be anti-diffusive
+    wherever rho > rho_bar, and the Crank-Nicolson halves are not
+    L-stable, so grid-scale vertical modes would amplify.
     """
     g = ws.grid
     a = 0.5 * half
-    if rc.linearized:
-        def lap(f1, f2):
-            return (g.d2y(f1, +1) - g.irfft(g.xi**2 * g.rfft(f1)),
-                    g.d2y(f2, -1) - g.irfft(g.xi**2 * g.rfft(f2)))
+    factor = _cn_factor(ws, half)
+    parity = np.array([[1.0], [-1.0]])                 # even v1, odd v2 ghosts
+    xi2 = g.xi[:, :, None]**2
 
-        lap1_old, lap2_old = lap(s.v1, s.v2)
-        rhs1 = g.rfft(s.v1 + a * ws.nu_base * lap1_old)
-        rhs2 = g.rfft(s.v2 + a * ws.nu_base * lap2_old)
-        s1, s2 = _cn_solve_pair(rhs1, rhs2, ws, half)
-        v1, v2 = g.irfft(s1), g.irfft(s2)
+    def lap(f):                                        # f: (x1, row, y2)
+        return g.d2y(f, parity) - g.irfft(xi2 * g.rfft(f))
+
+    # the pair as one (x1, row, y2) array, row 0 for v1 and row 1 for v2
+    v = np.stack([s.v1, s.v2], axis=1)
+    if rc.linearized:
+        v = g.irfft(factor.solve(g.rfft(v + a * ws.nu_base * lap(v))))
     else:
-        # the pair as one (x1, row, y2) array, row 0 for v1 and row 1 for v2
-        factor = _cn_factor(ws, half)
         rho = (ws.rho_b + s.rho_pert)[:, None, :]
         scale = np.sqrt(ws.rho_b / rho)
         c_scale = ws.c_base * scale
         amu = a * ws.mu                                # (half/2) mu
-        parity = np.array([[1.0], [-1.0]])
-        xi2 = g.xi[:, :, None]**2
-
-        def lap(f):
-            return g.d2y(f, parity) - g.irfft(xi2 * g.rfft(f))
 
         def precond(r):                                # scale P^-1 scale, P = rho_bar - amu lap
             return scale * g.irfft(factor.solve(g.rfft(c_scale * r)))
 
-        vscale = max(float(np.max(np.abs(s.v1))), float(np.max(np.abs(s.v2))), 1e-300)
-        tol = rc.projection_tol * vscale
-        v = np.stack([s.v1, s.v2], axis=1)
+        tol = rc.projection_tol * max(float(np.max(np.abs(v))), 1e-300)
         v, _, n = _pcg(
             v, 2.0 * amu * lap(v), lambda p: rho * p - amu * lap(p), precond, _dot,
             tol, 40, f"implicit viscous solve failed to reach tolerance {tol:.3g} "
             "in 40 iterations", test_update=True)
         ws.iterations["viscous"] += n
-        v1, v2 = v[:, 0].copy(), v[:, 1].copy()
+    v1, v2 = v[:, 0].copy(), v[:, 1].copy()
     if project:
         # the per-mode viscous solves do not commute with the discrete
         # divergence in the wall rows; clean the O(dt*nu) remainder

@@ -7,7 +7,7 @@ import nskrt.diagnostics
 from nskrt import (CflError, ConfigError, SimulationError, SlabConfig, VacuumError,
                    compute_growth, compute_kappa_c)
 from nskrt.diagnostics import fit_growth, record
-from nskrt.simulator import (FieldState, Init, RunConfig, _cn_solve_pair, _dot, _pcg,
+from nskrt.simulator import (FieldState, Init, RunConfig, _cn_factor, _dot, _pcg,
                              _projection_solve, _TriFactor, _var_poisson, _viscous_half,
                              _workspace, escape_time, init_state, make_state,
                              read_checkpoint, run, solver_iterations, step, suggest_dt,
@@ -50,7 +50,9 @@ def test_cn_solve_pair_solves_mirror_and_dirichlet_rows(Ny, slab, linear_profile
     ws = _workspace(_zero_rc(Ny=Ny), linear_profile, slab)
     g, dt = ws.grid, 0.05
     rhs1, rhs2 = _random_modes(ws, 1), _random_modes(ws, 2)
-    v1, v2 = _cn_solve_pair(rhs1, rhs2, ws, dt)
+    rhs2[:, [0, -1]] = 0.0                      # the Dirichlet rows of v2
+    sol = _cn_factor(ws, dt).solve(np.stack([rhs1, rhs2], axis=1))
+    v1, v2 = sol[:, 0], sol[:, 1]
     a = 0.5 * dt * ws.nu_base
     lhs1 = v1 - a * (g.d2y(v1, +1) - g.xi**2 * v1)
     lhs2 = v2 - a * (g.d2y(v2, -1) - g.xi**2 * v2)
