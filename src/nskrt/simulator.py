@@ -405,9 +405,11 @@ def _pcg(x, r, apply_a, precond, dot, tol: float, cap: int, fail: str,
 
 def _dot(f: np.ndarray, h: np.ndarray) -> float:
     """Trapezoid inner product of real fields over (x1, y2), up to the
-    constant factor dx dy that conjugate gradients do not see."""
-    walls = np.vdot(f[..., 0], h[..., 0]) + np.vdot(f[..., -1], h[..., -1])
-    return float(np.vdot(f, h) - 0.5 * walls)
+    constant factor dx dy that conjugate gradients do not see.  Plain
+    sums, not BLAS: a threaded BLAS dot in the time loop measurably slows
+    the dense eigensolves that follow it in the same process."""
+    fh = f * h
+    return float(fh.sum() - 0.5 * (fh[..., 0].sum() + fh[..., -1].sum()))
 
 
 def _var_poisson(rhs: np.ndarray, c: np.ndarray, ws: _Workspace, rc: RunConfig,
