@@ -205,13 +205,10 @@ def solver_iterations(rc: RunConfig, p: DensityProfile, config: SlabConfig) -> d
     rc's grid since the last ``run`` or ``escape_time`` on it began.  The
     linearized solves are direct and count zero."""
     steps = _workspace(rc, p, config).per_step
-    out = {}
-    for kind in ("projection", "viscous"):
-        counts = [n[kind] for n in steps]
-        out[f"{kind}_iterations_per_step"] = {
-            "mean": sum(counts) / len(counts) if counts else None,
-            "max": max(counts, default=None)}
-    return out
+    return {f"{kind}_iterations_per_step": {
+                "mean": sum(n[kind] for n in steps) / len(steps) if steps else None,
+                "max": max((n[kind] for n in steps), default=None)}
+            for kind in ("projection", "viscous")}
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +564,8 @@ def _viscous_half(s: FieldState, half: float, ws: _Workspace, rc: RunConfig,
         tol = rc.projection_tol * max(float(np.max(np.abs(v))), 1e-300)
         v, _, n = _pcg(
             v, 2.0 * amu * lap(v), lambda p: rho * p - amu * lap(p), precond, _dot,
-            tol, 40, f"implicit viscous solve failed to reach tolerance {tol:.3g} "
-            "in 40 iterations", test_update=True)
+            tol, 40, f"implicit viscous solve failed to reach {tol:.3g} in 40 iterations",
+            test_update=True)
         ws.iterations["viscous"] += n
     v1, v2 = v[:, 0].copy(), v[:, 1].copy()
     if project:
@@ -649,7 +646,7 @@ def step(s: FieldState, rc: RunConfig, p: DensityProfile, config: SlabConfig,
             f"t={out.t:.6g}; fixed dt={dt:g} violates a stability limit")
     if rho_min <= 0.0:
         raise VacuumError(f"total density reached zero at t={out.t:.6g}")
-    ws.per_step.append(ws.iterations)
+    ws.per_step.append(dict(ws.iterations))   # a copy: solves outside a step add to the live dict
     return out
 
 

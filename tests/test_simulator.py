@@ -116,6 +116,20 @@ def test_solve_cap_keeps_message_shape(slab, linear_profile):
         init_state(rc, linear_profile, slab)
 
 
+def test_viscous_cap_keeps_message_shape(slab, linear_profile):
+    # the recurrence residual falls far below rounding, so only a zero
+    # tolerance keeps the update test from passing within 40 iterations
+    rc = _zero_rc(projection_tol=0.0)
+    ws = _workspace(rc, linear_profile, slab)
+    rng = np.random.default_rng(4)
+    v1, v2 = rng.standard_normal((2, 32, 33))
+    v2[:, [0, -1]] = 0.0
+    rho_p = 0.3 * ws.rho_b * np.cos(ws.grid.x).reshape(-1, 1)
+    with pytest.raises(SimulationError,
+                       match=r"implicit viscous solve failed to reach \S+ in 40 iterations"):
+        _viscous_half(FieldState(0.0, rho_p, v1, v2), 0.01, ws, rc, project=False)
+
+
 def _strong_contrast(Nx, Ny, slab, linear_profile):
     """A nonlinear workspace and a density with rho/rho_bar spanning 0.3-1.7."""
     rc = _zero_rc(Nx=Nx, Ny=Ny, dt=0.01)
