@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -174,18 +174,21 @@ class _Workspace:
         self.c_base = 1.0 / self.rho_b                 # 1/rho_bar(y2)
         self.mu = config.mu
         self.nu_base = config.mu * self.c_base         # CN viscosity coefficient
-        xi2 = self.grid.xi**2
-        self.proj_factor, self.proj_order = _projection_factor(self, xi2)
-        # the variable-density operator has no x1-derivative at Nyquist
-        # (Grid.dx1 zeroes it), so its preconditioner's Nyquist rows trade
-        # xi^2 for a shift of the size of the low vertical eigenvalues,
-        # (2 pi / h)^2, which keeps them definite
-        xi2 = xi2.copy()
-        xi2[-1] = (2.0 * math.pi / config.h)**2
-        self.pcg_factor = _projection_factor(self, xi2)[0]
+        self.proj_factor, self.proj_order = _projection_factor(self, self.grid.xi**2)
         self._cn_factors: dict[float, "_TriFactor"] = {}
         self.iterations = {"projection": 0, "viscous": 0}  # of the current step
         self.per_step: list[dict[str, int]] = []       # one entry per step taken
+
+    @cached_property
+    def pcg_factor(self) -> "_TriFactor":
+        """The projection factor that preconditions the variable-density
+        solve.  That operator has no x1-derivative at Nyquist (Grid.dx1
+        zeroes it), so the Nyquist rows trade xi^2 for a shift of the size
+        of the low vertical eigenvalues, (2 pi / h)^2, which keeps them
+        definite.  Built on first use: linearized runs never need it."""
+        xi2 = self.grid.xi**2
+        xi2[-1] = (2.0 * math.pi / self.grid.h)**2
+        return _projection_factor(self, xi2)[0]
 
 
 def _workspace(rc: RunConfig, p: DensityProfile, config: SlabConfig) -> _Workspace:
