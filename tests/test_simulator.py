@@ -7,7 +7,7 @@ import nskrt.diagnostics
 from nskrt import (CflError, ConfigError, SimulationError, SlabConfig, VacuumError,
                    compute_growth, compute_kappa_c)
 from nskrt.diagnostics import fit_growth, record
-from nskrt.simulator import (FieldState, Init, RunConfig, _cn_factor, _dot, _pcg,
+from nskrt.simulator import (FieldState, Init, RunConfig, _cn_factor, _pcg,
                              _projection_solve, _TriFactor, _var_poisson, _viscous_half,
                              _workspace, escape_time, init_state, make_state,
                              read_checkpoint, run, solver_iterations, step, suggest_dt,
@@ -81,6 +81,10 @@ def test_pcg_zero_residual_returns_exact_zeros():
     assert n == 0 and np.all(x == 0.0) and np.all(r == 0.0)
     x, _, n = _pcg(np.zeros(12), np.zeros(12), lambda p: a @ p, lambda r: r, np.dot,
                    0.0, 60, "unused", test_update=True)
+    assert n == 0 and np.all(x == 0.0)
+    # a tolerance no residual meets: the r.z = 0 guard stops before 0/0
+    x, _, n = _pcg(np.zeros(12), np.zeros(12), lambda p: a @ p, lambda r: r, np.dot,
+                   -1.0, 60, "unused")
     assert n == 0 and np.all(x == 0.0)
 
 
