@@ -443,7 +443,7 @@ def _var_poisson(rhs: np.ndarray, c: np.ndarray, ws: _Workspace, rc: RunConfig,
         d = g.dx1(fx) + g.dy(fy, -1)
         return np.mean(d, axis=0, keepdims=True) - d
 
-    def precond(r):
+    def precond(r):                            # -(s P0^-1 s) r on the k >= 1 modes
         z = scale * g.irfft(_projection_solve(g.rfft(scale * r), ws, ws.pcg_factor))
         return np.mean(z, axis=0, keepdims=True) - z
 
