@@ -268,6 +268,6 @@ def run_acceptance(criteria=None) -> list[CriterionResult]:
         if time_bound is not None and elapsed >= time_bound:
             passed = False
             details["runtime_exceeded_s"] = elapsed
-        out.append(CriterionResult(cid=cid, name=name, passed=passed,
+        out.append(CriterionResult(cid=cid, name=name, passed=bool(passed),
                                    runtime_s=elapsed, details=details))
     return out

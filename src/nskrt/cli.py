@@ -318,6 +318,8 @@ def _cmd_growth(spec: ExperimentSpec, summary: dict) -> None:
         "grid_N": res.grid_N, "fixed_point_tol": gsec["tol"],
         "eigensolves": res.eigensolves,
         "eigensolves_per_mode": res.eigensolves / len(res.per_mode),
+        "factorizations_per_eigensolve": {"mean": sum(res.factorizations) / res.eigensolves,
+                                          "max": max(res.factorizations)},
         "per_mode": [[k, xi, a0, lam] for k, xi, a0, lam in res.per_mode],
     }
 

@@ -262,7 +262,7 @@ def poincare_min_quotient(config: SlabConfig, Ny: int = 256) -> float:
     K = stiffness(np.ones(Ny + 1), dy) / dy
     xi = 1.0 / config.L
     vals = scipy.linalg.eigh_tridiagonal(
-        np.diag(K) + xi**2, np.diag(K, 1), eigvals_only=True, select="i",
+        K[2] + xi**2, K[1, 1:], eigvals_only=True, select="i",
         select_range=(0, 0), tol=2.0 * np.finfo(float).tiny)
     return float(vals[0])
 

@@ -41,6 +41,19 @@ pencil (Epot - s mu V) phi = alpha M phi.  The per-mode problem is posed in
 real variables throughout; the quadrature-exact horizontal factor i/xi of
 w1 is carried symbolically into the cos mode of the reconstruction.
 
+The forms are banded, and alpha(s) comes from inverse iteration with
+shifts certified by Sylvester's law of inertia (Parlett, The Symmetric
+Eigenvalue Problem, ch. 4-5): a banded Cholesky factorization of
+sigma M - (Epot - s mu V) succeeds exactly when sigma lies above the top
+eigenvalue, so it lowers the upper end of a bracket; a failed one and
+every Rayleigh quotient raise the lower end.  alpha(0) starts from the
+previous mode's maximizer (sin pi y for k = 1) below g max(rho_bar'+/rho_bar),
+an upper end for every s (Epot <= g mass(rho_bar'+) <= that times M);
+alpha(s) in the Newton iteration starts from phi_lo between the tangent
+value and alpha(s_lo).  Each shift sits a tenth of the way up the bracket
+(halfway after a failed factorization), and a solve stops once its vector
+changes by at most 1e-8 or its bracket is at the rounding of the forms.
+
 The unstable pressure amplitude follows from the horizontal momentum
 balance: with W = phi'/xi,
 
@@ -51,14 +64,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, EigensolverError
-from .operators import (dy_onesided, lumped_mass, second_difference_form, stiffness,
-                        trapezoid_weights)
+from .operators import (band_matvec, dy_onesided, lumped_mass, second_difference_form,
+                        stiffness, trapezoid_weights)
 from .profiles import DensityProfile, SlabConfig, check_admissibility
 from .threshold import _normalize_eigvec
 
@@ -78,10 +92,10 @@ __all__ = [
 class ModeForms:
     """Per-mode kinetic (M), viscous (V) and potential (Epot) forms.
 
-    All three matrices are real symmetric on interior nodes; M and V are
+    All three are real symmetric band rows on interior nodes; M and V are
     positive definite.  The profile columns and coefficients ride along so
     quotients can be re-evaluated from difference sums, which is far less
-    sensitive to rounding than the assembled H^2-form matrices.
+    sensitive to rounding than the assembled H^2-forms.
     """
 
     xi: float
@@ -96,21 +110,25 @@ class ModeForms:
     kappa: float
 
 
+@lru_cache(maxsize=8)
+def _profile_parts(pN: DensityProfile) -> tuple[np.ndarray, ...]:
+    """The mode-independent forms: a sweep assembles them once."""
+    dy, ones, c = pN.dy, np.ones_like(pN.rho), pN.d1**2
+    return (lumped_mass(pN.rho, dy), stiffness(pN.rho, dy), 2.0 * stiffness(ones, dy),
+            second_difference_form(pN.N - 1, dy), lumped_mass(ones, dy),
+            lumped_mass(pN.d1, dy), stiffness(c, dy), lumped_mass(c, dy))
+
+
 def assemble_mode_forms(p: DensityProfile, config: SlabConfig, k: int,
                         N: int | None = None) -> ModeForms:
     if k < 1:
         raise ValueError("mode index k must be >= 1")
     pN = p if N is None else p.resample(N)
+    m_rho, k_rho, k_ones, biharm, m_ones, m_d1, k_c, m_c = _profile_parts(pN)
     xi = config.xi(k)
-    dy = pN.dy
-    n = pN.N - 1
-    ones = np.ones_like(pN.rho)
-    M = lumped_mass(pN.rho, dy) + stiffness(pN.rho, dy) / xi**2
-    V = (2.0 * stiffness(ones, dy) + second_difference_form(n, dy) / xi**2
-         + xi**2 * lumped_mass(ones, dy))
-    c = pN.d1**2
-    Epot = config.g * lumped_mass(pN.d1, dy) - config.kappa * (
-        stiffness(c, dy) + xi**2 * lumped_mass(c, dy))
+    M = m_rho + k_rho / xi**2
+    V = k_ones + biharm / xi**2 + xi**2 * m_ones
+    Epot = config.g * m_d1 - config.kappa * (k_c + xi**2 * m_c)
     return ModeForms(xi=xi, M=M, V=V, Epot=Epot, mu=config.mu, nodes=pN.nodes,
                      rho=pN.rho, d1=pN.d1, g=config.g, kappa=config.kappa)
 
@@ -120,7 +138,7 @@ def _quotient_sums(phi: np.ndarray, forms: ModeForms) -> tuple[float, float, flo
 
     For a smooth phi the sums carry no large cancellations, so quotients
     of them are accurate to a few ulps, well below the rounding of the
-    assembled-matrix eigenvalue whose backward error scales with the huge
+    assembled-form eigenvalue whose backward error scales with the huge
     top of the discrete biharmonic spectrum.
     """
     dy = float(forms.nodes[1] - forms.nodes[0])
@@ -143,33 +161,61 @@ def _quotient_sums(phi: np.ndarray, forms: ModeForms) -> tuple[float, float, flo
     return e_val, v_val, m_val
 
 
-def alpha(s: float, forms: ModeForms) -> tuple[float, np.ndarray]:
+# each factorization at least halves the bracket: 60 leave a stalled solve
+_MAX_FACTORIZATIONS = 60
+
+
+def alpha(s: float, forms: ModeForms, phi: np.ndarray | None = None,
+          hi: float = math.inf) -> tuple[float, np.ndarray, int]:
     """Largest eigenvalue of (Epot - s*mu*V) phi = alpha M phi.
 
-    Returns (alpha_s, phi) with phi on the full node set, unit L2 norm.
-    The eigensolve supplies the maximizer; the returned value is its
-    quotient (Epot - s*mu*V)/M re-evaluated from difference sums
-    (Rayleigh-quotient refinement: the vector error enters only
-    quadratically, restoring the accuracy the assembled-pencil reduction
-    loses).  A non-finite pencil or quotient raises EigensolverError.
+    Returns (alpha_s, phi, factorizations), phi on the full node set with
+    unit L2 norm, by the certified shift-invert of the module docstring
+    from the start vector ``phi`` and an upper end ``hi`` known to the
+    caller.  alpha_s is phi's quotient from difference sums (the vector
+    error enters it only quadratically).  A non-finite pencil or quotient,
+    or a bracket that does not close, raises EigensolverError.
     """
     if s < 0:
         raise ValueError("penalty weight s must be >= 0")
-    A = forms.Epot - s * forms.mu * forms.V
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(forms.M))):
-        raise EigensolverError(f"alpha({s}): the pencil has non-finite entries")
-    n = A.shape[0]
-    try:
-        _, vecs = scipy.linalg.eigh(A, forms.M, subset_by_index=[n - 1, n - 1],
-                                    check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise EigensolverError(f"alpha({s}) eigensolve failed: {exc}") from exc
-    phi = _normalize_eigvec(vecs[:, 0], forms.nodes)
+    A, M = forms.Epot - s * forms.mu * forms.V, forms.M
+    bound = forms.g * float(np.max(np.maximum(forms.d1[1:-1], 0.0) / forms.rho[1:-1]))
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(M)) and math.isfinite(bound)):
+        raise EigensolverError(f"alpha({s}): the pencil or its bound has non-finite entries")
+    x = (np.sin(np.pi * forms.nodes / forms.nodes[-1]) if phi is None else phi)[1:-1]
+    x = x / np.linalg.norm(x)
+    Mx = band_matvec(M, x)
+    lo = float(x @ band_matvec(A, x) / (x @ Mx))
+    # the rounding of an assembled quotient at x: it widens the caller's hi,
+    # a difference-sum value, and is as narrow as the bracket can usefully get
+    ax = np.abs(x)
+    slack = 8.0 * np.finfo(float).eps * float(
+        ax @ band_matvec(np.abs(A) + abs(lo) * np.abs(M), ax) / (x @ Mx))
+    hi = max(min(hi + slack, bound), lo + slack)
+    step = 0.1
+    for factorizations in range(1, _MAX_FACTORIZATIONS + 1):
+        sigma = lo + step * (hi - lo)
+        try:
+            chol = scipy.linalg.cholesky_banded(sigma * M - A, check_finite=False)
+        except scipy.linalg.LinAlgError:
+            lo, step = sigma, 0.5                    # sigma M - A is indefinite
+            continue
+        hi, step = sigma, 0.1
+        y = scipy.linalg.cho_solve_banded((chol, False), Mx, check_finite=False)
+        y *= math.copysign(1.0 / np.linalg.norm(y), y @ x)
+        change, x, Mx = float(np.linalg.norm(y - x)), y, band_matvec(M, y)
+        lo = max(lo, float(x @ band_matvec(A, x) / (x @ Mx)))
+        if change <= 1e-8 or hi - lo <= slack:
+            break
+    else:
+        raise EigensolverError(
+            f"alpha({s}): shift-invert bracket [{lo:.17g}, {hi:.17g}] did not close")
+    phi = _normalize_eigvec(x, forms.nodes)
     e_val, v_val, m_val = _quotient_sums(phi, forms)
     a_s = (e_val - s * forms.mu * v_val) / m_val
     if not math.isfinite(a_s):
         raise EigensolverError(f"alpha({s}): the penalized quotient is {a_s}")
-    return a_s, phi
+    return a_s, phi, factorizations
 
 
 # midpoint steps alone shrink the bracket below one ulp in about 60 steps
@@ -177,18 +223,19 @@ _MAX_ITER = 100
 
 
 def _fixed_point(forms: ModeForms, tol: float, a0: float,
-                 phi0: np.ndarray) -> tuple[float, np.ndarray | None, float, int]:
+                 phi0: np.ndarray) -> tuple[float, np.ndarray | None, float, list[int]]:
     """Solve alpha(s) = s^2 from a0 = alpha(0) and its maximizer phi0.
 
-    Returns (Lambda_xi, phi, residual, eigensolves); Lambda_xi = 0 when
-    a0 <= 0.  The tangent is taken at the lower end of the bracket, the
-    largest s seen so far with alpha(s) >= s^2.
+    Returns (Lambda_xi, phi, residual, factorizations of each alpha call);
+    Lambda_xi = 0 when a0 <= 0.  The tangent is taken at the lower end of
+    the bracket, the largest s seen so far with alpha(s) >= s^2.
     """
+    factorizations: list[int] = []
     if a0 <= 0.0:
-        return 0.0, None, 0.0, 0
+        return 0.0, None, 0.0, factorizations
     s_lo, a_lo, phi_lo = 0.0, a0, phi0
     s_hi = math.sqrt(a0)
-    for calls in range(1, _MAX_ITER + 1):
+    for _ in range(_MAX_ITER):
         _, v_val, m_val = _quotient_sums(phi_lo, forms)
         slope = -forms.mu * v_val / m_val            # alpha'(s_lo) <= 0
         c = a_lo - slope * s_lo                      # > 0: a_lo > s_lo^2
@@ -197,10 +244,11 @@ def _fixed_point(forms: ModeForms, tol: float, a0: float,
             s = 0.5 * (s_lo + s_hi)
             if not s_lo < s < s_hi:
                 break
-        a_s, phi = alpha(s, forms)
+        a_s, phi, n_fact = alpha(s, forms, phi_lo, a_lo)
+        factorizations.append(n_fact)
         resid = a_s - s**2
         if abs(resid) < tol * max(1.0, s**2):
-            return s, phi, abs(resid), calls
+            return s, phi, abs(resid), factorizations
         if resid > 0.0:
             s_lo, a_lo, phi_lo = s, a_s, phi
         else:
@@ -211,7 +259,7 @@ def _fixed_point(forms: ModeForms, tol: float, a0: float,
 
 def mode_growth_rate(forms: ModeForms, tol: float = 1e-10) -> tuple[float, np.ndarray | None]:
     """Growth rate of one horizontal mode; Lambda_xi = 0 when alpha(0) <= 0."""
-    lam, phi, _, _ = _fixed_point(forms, tol, *alpha(0.0, forms))
+    lam, phi, _, _ = _fixed_point(forms, tol, *alpha(0.0, forms)[:2])
     return lam, phi
 
 
@@ -228,6 +276,7 @@ class GrowthResult:
         beta the cos / sin modes respectively
     residual : |alpha(Lambda) - Lambda^2| at the accepted fixed point
     eigensolves : calls of ``alpha`` over the whole sweep
+    factorizations : banded Cholesky factorizations of each ``alpha`` call
     """
 
     Lambda: float
@@ -240,6 +289,7 @@ class GrowthResult:
     nodes: np.ndarray
     grid_N: int
     eigensolves: int = 0
+    factorizations: tuple[int, ...] = ()
 
 
 def compute_growth(p: DensityProfile, config: SlabConfig, N: int = 256,
@@ -260,12 +310,13 @@ def compute_growth(p: DensityProfile, config: SlabConfig, N: int = 256,
     running_max = 0.0
     decline = 0
     prev_a0 = np.inf
-    eigensolves = 0
+    phi0 = None
+    factorizations: list[int] = []
     for k in range(1, k_max + 1):
         forms = assemble_mode_forms(pN, config, k)
-        a0, phi0 = alpha(0.0, forms)
-        lam, phi, resid, calls = _fixed_point(forms, tol, a0, phi0)
-        eigensolves += 1 + calls
+        a0, phi0, n_fact = alpha(0.0, forms, phi0)
+        lam, phi, resid, fp_facts = _fixed_point(forms, tol, a0, phi0)
+        factorizations += [n_fact, *fp_facts]
         per_mode.append((k, forms.xi, a0, lam))
         if lam > running_max:
             running_max = lam
@@ -280,10 +331,11 @@ def compute_growth(p: DensityProfile, config: SlabConfig, N: int = 256,
         prev_a0 = a0
         if not exhaustive and decline >= 3:
             break
+    work = {"eigensolves": len(factorizations), "factorizations": tuple(factorizations)}
     if best is None:
         return GrowthResult(Lambda=0.0, k_star=None, per_mode=per_mode,
                             w2=None, w1=None, beta=None, residual=0.0,
-                            nodes=pN.nodes, grid_N=N, eigensolves=eigensolves)
+                            nodes=pN.nodes, grid_N=N, **work)
     lam, k_star, phi, forms, resid = best
     xi = forms.xi
     dy = pN.dy
@@ -299,7 +351,7 @@ def compute_growth(p: DensityProfile, config: SlabConfig, N: int = 256,
     beta = (config.mu * (d3phi - xi**2 * dphi) - lam * pN.rho * dphi) / xi**2
     return GrowthResult(Lambda=lam, k_star=k_star, per_mode=per_mode,
                         w2=phi, w1=w1, beta=beta, residual=resid,
-                        nodes=pN.nodes, grid_N=N, eigensolves=eigensolves)
+                        nodes=pN.nodes, grid_N=N, **work)
 
 
 def write_modes_csv(result: GrowthResult, path: str | Path) -> None:

@@ -4,11 +4,13 @@ Two families of helpers live here:
 
 * 1-D quadratic-form assembly on a uniform vertical grid with homogeneous
   Dirichlet ends eliminated (interior unknowns only).  These feed the
-  threshold and growth-rate eigensolvers: lumped (trapezoid) mass matrices,
-  midpoint-coefficient stiffness matrices for integrals of c*(phi')^2, and
+  threshold and growth-rate eigensolvers: lumped (trapezoid) mass forms,
+  midpoint-coefficient stiffness forms for integrals of c*(phi')^2, and
   the squared-second-difference form for integrals of (phi'')^2 whose
   discrete minimizers satisfy the natural condition phi'' = 0 at the walls
-  (simply-supported closure).
+  (simply-supported closure).  Each symmetric form is held in the three
+  LAPACK upper band rows of a pentadiagonal: row 2 - j, column i + j holds
+  entry (i, i + j), and the rest is zero.
 
 * 2-D grid calculus on the Fourier x uniform-vertical simulation grid:
   spectral x1 derivatives, ghost-cell vertical derivatives with even/odd
@@ -27,6 +29,7 @@ __all__ = [
     "lumped_mass",
     "stiffness",
     "second_difference_form",
+    "band_matvec",
     "trapezoid_weights",
     "dy_onesided",
     "Grid",
@@ -44,34 +47,31 @@ def trapezoid_weights(n_nodes: int, dy: float) -> np.ndarray:
 
 
 def lumped_mass(coef: np.ndarray, dy: float) -> np.ndarray:
-    """Diagonal matrix of the form int c*phi^2 on interior nodes.
+    """Band rows of the diagonal form int c*phi^2 on interior nodes.
 
     Trapezoid quadrature; the wall nodes carry phi = 0 so only interior
     weights (all equal to dy) survive.
     """
     c = np.asarray(coef, dtype=float)
-    return np.diag(dy * c[1:-1])
+    return np.pad(dy * c[None, 1:-1], ((2, 0), (0, 0)))
 
 
 def stiffness(coef: np.ndarray, dy: float) -> np.ndarray:
-    """Tridiagonal matrix of the form int c*(phi')^2 on interior nodes.
+    """Band rows of the tridiagonal form int c*(phi')^2 on interior nodes.
 
     The coefficient is averaged onto interval midpoints, which keeps the
     form symmetric positive definite for c > 0 and second-order accurate.
     """
     c = np.asarray(coef, dtype=float)
     cm = 0.5 * (c[:-1] + c[1:])          # one value per interval
-    n = c.size - 2
-    K = np.zeros((n, n))
-    idx = np.arange(n)
-    K[idx, idx] = (cm[:-1] + cm[1:]) / dy
-    K[idx[:-1], idx[:-1] + 1] = -cm[1:-1] / dy
-    K[idx[1:], idx[1:] - 1] = -cm[1:-1] / dy
-    return K
+    F = np.zeros((3, c.size - 2))
+    F[1, 1:] = -cm[1:-1] / dy
+    F[2] = (cm[:-1] + cm[1:]) / dy
+    return F
 
 
 def second_difference_form(n_interior: int, dy: float) -> np.ndarray:
-    """Matrix of the form int (phi'')^2 on interior nodes.
+    """Band rows of the form int (phi'')^2 on interior nodes.
 
     phi'' is sampled by the compact second difference at interior nodes
     (wall values of phi are zero) and squared against weight dy.  The
@@ -81,12 +81,21 @@ def second_difference_form(n_interior: int, dy: float) -> np.ndarray:
     Written out, dy * D2^T D2 with D2 = tridiag(1, -2, 1)/dy^2 is
     (1, -4, 6, -4, 1)/dy^3, less 1 on the diagonal of each wall row.
     """
-    n = n_interior
-    F = 6.0 * np.eye(n) - 4.0 * (np.eye(n, k=1) + np.eye(n, k=-1))
-    F += np.eye(n, k=2) + np.eye(n, k=-2)
-    F[0, 0] -= 1.0
-    F[-1, -1] -= 1.0
+    F = np.zeros((3, n_interior))
+    F[0, 2:] = 1.0
+    F[1, 1:] = -4.0
+    F[2] = 6.0
+    F[2, [0, -1]] = 5.0
     return F / dy**3
+
+
+def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Product of the symmetric matrix held in band rows ab with x."""
+    y = ab[2] * x
+    for j in (1, 2):
+        y[:-j] += ab[2 - j, j:] * x[j:]
+        y[j:] += ab[2 - j, j:] * x[:-j]
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,8 @@ def test_growth_command_writes_eigenfunctions(tmp_path):
     assert summary["results"]["eigensolves"] >= n_modes
     assert summary["results"]["eigensolves_per_mode"] == \
         summary["results"]["eigensolves"] / n_modes
+    facts = summary["results"]["factorizations_per_eigensolve"]
+    assert 1 <= facts["mean"] <= facts["max"] <= 60
     for name in ("modes.csv", "w2.txt", "w1.txt", "beta.txt"):
         assert (out / name).exists()
     data = np.loadtxt(out / "w2.txt")
@@ -276,3 +278,14 @@ def test_verify_single_fast_criterion(tmp_path, capsys):
     assert "[PASS] criterion 2" in out
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["results"]["failures"] == 0
+
+
+def test_verify_summary_with_numpy_bool(tmp_path, monkeypatch):
+    # a criterion may compute its verdict with numpy; the summary still loads
+    from nskrt import acceptance
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        {1: ("stub", lambda: (np.True_, {"value": 1.0}), None)})
+    assert main(["verify", "-o", str(tmp_path / "o"), "--criteria", "1"]) == 0
+    with open(tmp_path / "o" / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["results"]["criteria"][0]["passed"] is True

@@ -1,8 +1,11 @@
 import dataclasses
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
@@ -11,7 +14,7 @@ from nskrt import (ConfigError, EigensolverError, SlabConfig, alpha, assemble_mo
                    make_boundary_flat_profile, make_linear_profile,
                    make_tanh_profile, mode_growth_rate, random_stabilizing_profile)
 from nskrt.growth import write_eigenfunction, write_modes_csv
-from nskrt.operators import trapezoid_weights
+from nskrt.operators import lumped_mass, stiffness, trapezoid_weights
 
 from conftest import REFERENCE_KAPPA_C
 
@@ -20,12 +23,23 @@ from conftest import REFERENCE_KAPPA_C
 LAMBDA_K1_N512 = 0.07655698641610797
 
 
+def _dense(ab):
+    """The symmetric matrix held in pentadiagonal upper band rows ab."""
+    out = np.diag(ab[2])
+    for j in (1, 2):
+        out += np.diag(ab[2 - j, j:], j) + np.diag(ab[2 - j, j:], -j)
+    return out
+
+
 def test_forms_symmetry(slab, linear_profile):
+    # symmetric forms in upper band rows: the unused corner stays zero
     f = assemble_mode_forms(linear_profile, slab, 2, N=96)
-    for mat in (f.M, f.V, f.Epot):
-        assert np.array_equal(mat, mat.T)
-    assert np.all(np.linalg.eigvalsh(f.M) > 0)
-    assert np.all(np.linalg.eigvalsh(f.V) > 0)
+    assert f.M.shape == f.V.shape == f.Epot.shape == (3, 95)
+    for ab in (f.M, f.V, f.Epot):
+        assert ab[1, 0] == 0.0 and not np.any(ab[0, :2])
+    assert not np.any(f.M[0]) and not np.any(f.Epot[0])   # tridiagonal
+    assert np.all(np.linalg.eigvalsh(_dense(f.M)) > 0)
+    assert np.all(np.linalg.eigvalsh(_dense(f.V)) > 0)
 
 
 def test_constant_density_kinetic_form(slab):
@@ -33,7 +47,6 @@ def test_constant_density_kinetic_form(slab):
     f = assemble_mode_forms(p, slab, 2, N=64)
     ones = make_linear_profile(1.0, 0.0, slab, N=64)
     # rho constant: M = rho * (mass + stiffness / xi^2) entry by entry
-    from nskrt.operators import lumped_mass, stiffness
     dy = ones.dy
     expected = 3.0 * (lumped_mass(np.ones(65), dy) + stiffness(np.ones(65), dy) / f.xi**2)
     assert np.allclose(f.M, expected, rtol=1e-8)
@@ -42,14 +55,14 @@ def test_constant_density_kinetic_form(slab):
 def test_large_xi_capillarity_penalty(linear_profile):
     config = SlabConfig(g=1.0, mu=0.1, kappa=0.2, L=1.0, h=1.0)
     f = assemble_mode_forms(linear_profile, config, 40, N=96)
-    a0, _ = alpha(0.0, f)
+    a0 = alpha(0.0, f)[0]
     assert a0 < 0.0
 
 
 def test_alpha_positive_without_capillarity(slab):
     p = make_boundary_flat_profile(slab, 96)    # RT region inside
     f = assemble_mode_forms(p, slab, 1, N=96)
-    a0, _ = alpha(0.0, f)
+    a0 = alpha(0.0, f)[0]
     assert a0 > 0.0
 
 
@@ -57,7 +70,7 @@ def test_alpha_negative_above_threshold(linear_profile):
     config = SlabConfig(g=1.0, mu=0.1, kappa=1.3 * REFERENCE_KAPPA_C, L=1.0, h=1.0)
     for k in (1, 2, 3, 5):
         f = assemble_mode_forms(linear_profile, config, k, N=128)
-        a0, _ = alpha(0.0, f)
+        a0 = alpha(0.0, f)[0]
         assert a0 < 0.0
 
 
@@ -84,7 +97,7 @@ def test_fixed_point_residual(slab, linear_profile):
     f = assemble_mode_forms(linear_profile, slab, 3, N=128)
     lam, phi = mode_growth_rate(f, tol=1e-10)
     assert lam > 0
-    a_lam, _ = alpha(lam, f)
+    a_lam = alpha(lam, f)[0]
     assert abs(a_lam - lam**2) <= 1e-10 * max(1.0, lam**2)
 
 
@@ -216,10 +229,10 @@ class _AlphaSpy:
         self.inner = inner
         self.calls: list[tuple[float, float]] = []
 
-    def __call__(self, s, forms):
-        a_s, phi = self.inner(s, forms)
+    def __call__(self, s, forms, *start):
+        a_s, phi, factorizations = self.inner(s, forms, *start)
         self.calls.append((s, a_s))
-        return a_s, phi
+        return a_s, phi, factorizations
 
     def per_mode(self) -> list[list[tuple[float, float]]]:
         """Calls split by mode: each mode's fixed point starts at s = 0."""
@@ -235,23 +248,24 @@ def test_eigensolves_counted_and_few_per_mode(slab, linear_profile):
     spy = _AlphaSpy()
     with mock.patch.object(growth, "alpha", spy):
         gr = compute_growth(linear_profile, slab, N=128)
-    assert gr.eigensolves == len(spy.calls)
+    assert gr.eigensolves == len(spy.calls) == len(gr.factorizations)
     assert len(spy.per_mode()) == len(gr.per_mode)
     assert gr.eigensolves <= 6 * len(gr.per_mode)
+    assert 1 <= min(gr.factorizations) and sum(gr.factorizations) <= 6 * gr.eigensolves
 
 
 def test_growth_result_eigensolves_defaults_to_zero():
     gr = growth.GrowthResult(Lambda=0.0, k_star=None, per_mode=[], w2=None,
                              w1=None, beta=None, residual=0.0,
                              nodes=np.linspace(0.0, 1.0, 5), grid_N=4)
-    assert gr.eigensolves == 0
+    assert gr.eigensolves == 0 and gr.factorizations == ()
 
 
 def test_nonfinite_pencil_raises_eigensolver_error(slab, linear_profile):
     f = assemble_mode_forms(linear_profile, slab, 1, N=64)
     for name in ("Epot", "V", "M"):
         bad = getattr(f, name).copy()
-        bad[3, 3] = np.nan
+        bad[-1, 3] = np.nan
         with pytest.raises(EigensolverError):
             alpha(0.1, dataclasses.replace(f, **{name: bad}))
 
@@ -285,9 +299,10 @@ def test_midpoint_safeguard_on_nonconvex_alpha(slab, linear_profile, monkeypatch
     a0 = alpha(0.0, f)[0]
     bump = 5.0 / np.sqrt(a0)
 
-    def bent(s, forms):
-        a_s, phi = alpha(s, forms)
-        return a_s - bump * s**3, phi
+    def bent(s, forms, phi=None, hi=None):
+        # the bent alpha(s_lo) is no upper end of the true alpha(s)
+        a_s, phi, factorizations = alpha(s, forms, phi)
+        return a_s - bump * s**3, phi, factorizations
 
     spy = _AlphaSpy(bent)
     monkeypatch.setattr(growth, "alpha", spy)
@@ -378,3 +393,64 @@ def test_growth_properties(case):
     e_val, v_val, m_val = growth._quotient_sums(gr.w2, forms)
     slope = -config.mu * v_val / m_val
     assert abs(lam - ref) <= tol * max(1.0, lam**2) / abs(slope - 2.0 * lam) + width
+
+
+# ---------------------------------------------------------------------------
+# the banded shift-invert against dense LAPACK, kept here as the reference
+# ---------------------------------------------------------------------------
+
+def _dense_alpha(s, forms):
+    """(alpha(s), maximizer, quotient scale) from a dense generalized
+    eigensolve and the difference sums."""
+    A = _dense(forms.Epot) - s * forms.mu * _dense(forms.V)
+    n = A.shape[0]
+    _, vecs = scipy.linalg.eigh(A, _dense(forms.M), subset_by_index=[n - 1, n - 1])
+    phi = growth._normalize_eigvec(vecs[:, 0], forms.nodes)
+    e_val, v_val, m_val = growth._quotient_sums(phi, forms)
+    return ((e_val - s * forms.mu * v_val) / m_val, phi,
+            max(abs(e_val), s * forms.mu * v_val) / m_val)
+
+
+@given(growth_cases(), st.integers(1, 3), st.floats(0.0, 1.0))
+def test_banded_alpha_matches_dense_eigh(case, k, frac):
+    p, config, N = case
+    forms = assemble_mode_forms(p, config, k, N=N)
+    s = frac * np.sqrt(max(alpha(0.0, forms)[0], 0.0))
+    a_s, phi, factorizations = alpha(s, forms)
+    ref, _, scale = _dense_alpha(s, forms)
+    assert abs(a_s - ref) <= 1e-12 * scale
+    assert 1 <= factorizations <= growth._MAX_FACTORIZATIONS
+    # a shift just above the returned value certifies it as the top
+    A = forms.Epot - s * forms.mu * forms.V
+    scipy.linalg.cholesky_banded((a_s + 1e-8 * scale) * forms.M - A)
+
+
+def test_growth_lambda_matches_dense_reference(slab, linear_profile, monkeypatch):
+    # the whole sweep with alpha swapped for the dense reference
+    kc = compute_kappa_c(linear_profile, slab, N=128).kappa_c
+    for frac in (0.0, 0.5, 0.9):
+        config = dataclasses.replace(slab, kappa=frac * kc)
+        gr = compute_growth(linear_profile, config, N=128)
+        with monkeypatch.context() as m:
+            m.setattr(growth, "alpha",
+                      lambda s, forms, *start: (*_dense_alpha(s, forms)[:2], 0))
+            ref = compute_growth(linear_profile, config, N=128)
+        assert gr.k_star == ref.k_star
+        assert abs(gr.Lambda - ref.Lambda) <= 1e-12 * ref.Lambda
+
+
+def test_growth_needs_no_dense_eigensolve(slab, linear_profile, monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("dense eigh called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
+    gr = compute_growth(linear_profile, slab, N=256)
+    assert gr.Lambda > 0 and gr.residual <= 1e-10 * max(1.0, gr.Lambda**2)
+
+
+def test_no_dense_eigh_in_sources():
+    src = Path(growth.__file__).parent
+    calls = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"\beigh\s*\(", line)]
+    assert calls == []
