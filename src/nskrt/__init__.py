@@ -27,6 +27,6 @@ from .simulator import (FieldState, Init, RunConfig, escape_time, init_state,
                         suggest_dt, write_checkpoint)
 from .threshold import (ModeQuotientOperator, ThresholdResult,
                         assemble_mode_quotient, compute_kappa_c,
-                        mode_threshold, remark_bound)
+                        mode_threshold, remark_bound, two_dim_quotient_ascent)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -161,7 +161,8 @@ def _quotient_sums(phi: np.ndarray, forms: ModeForms) -> tuple[float, float, flo
     return e_val, v_val, m_val
 
 
-# each factorization at least halves the bracket: 60 leave a stalled solve
+# a solve still open after this many factorizations has stalled: a success
+# cuts the bracket tenfold, a failure after a failure halves it
 _MAX_FACTORIZATIONS = 60
 
 

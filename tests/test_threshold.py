@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 from nskrt import (DegenerateThresholdError, EigensolverError, SlabConfig,
                    assemble_mode_quotient, compute_kappa_c, make_boundary_flat_profile,
                    make_linear_profile, make_tanh_profile, mode_threshold,
-                   random_stabilizing_profile, remark_bound)
+                   random_stabilizing_profile, remark_bound,
+                   two_dim_quotient_ascent)
 from nskrt.diagnostics import poincare_min_quotient
-from nskrt.operators import trapezoid_weights
 from nskrt.threshold import _discrete_remark_bound, write_modes_csv
 
 from conftest import REFERENCE_KAPPA_C
@@ -155,65 +155,6 @@ def test_eigenfunction_converges_to_sine(slab):
         y = np.linspace(0.0, 1.0, N + 1)
         exact = np.sin(np.pi * y) * np.sqrt(2.0)       # unit L2 norm on (0,1)
         assert np.max(np.abs(res.phi - exact)) <= tol
-
-
-def two_dim_quotient_ascent(p, config, nx=32, ny=48, iters=4000, seed=0):
-    """Maximize the 2-D quotient directly by projected gradient ascent.
-
-    Cross-check of the Fourier reduction in ``nskrt.threshold``: w2 lives on a coarse periodic x
-    uniform grid with Dirichlet walls, the projection removes the
-    horizontal-mean (k = 0) component after every step, and the converged
-    quotient must match the k = 1 per-mode value.
-    """
-    pN = p.resample(ny)
-    dx = config.width / nx
-    dyy = config.h / ny
-    wy = trapezoid_weights(ny + 1, dyy)
-    a_diag = config.g * pN.d1 * wy * dx               # numerator weights per column
-    c = pN.d1**2
-    cm = 0.5 * (c[:-1] + c[1:])
-
-    def project(w):
-        w = w - np.mean(w, axis=0, keepdims=True)
-        w[:, 0] = 0.0
-        w[:, -1] = 0.0
-        return w
-
-    def apply_B(w):
-        # x part: second difference against weight dx*wy*c
-        bx = (2.0 * w - np.roll(w, 1, axis=0) - np.roll(w, -1, axis=0)) / dx**2
-        out = bx * (dx * wy * c)
-        # y part: interval-midpoint stiffness, Dirichlet rows stay zero
-        flux = cm * (w[:, 1:] - w[:, :-1]) / dyy      # one flux per interval
-        out[:, 1:-1] += dx * (flux[:, :-1] - flux[:, 1:])
-        out[:, 0] = 0.0
-        out[:, -1] = 0.0
-        return out
-
-    # start with guaranteed overlap on the k = 1 branch (the principal
-    # eigenfunction is one-signed, so this never sits on a saddle) plus
-    # seeded noise so the ascent genuinely explores the 2-D space
-    rng = np.random.default_rng(seed)
-    X, Y = np.meshgrid(np.arange(nx) * dx, pN.nodes, indexing="ij")
-    w = np.sin(X / config.L) * np.sin(np.pi * Y / config.h)
-    w = w + 0.5 * np.sin(2 * X / config.L) * np.sin(np.pi * Y / config.h)
-    w = w + 0.3 * np.sin(X / config.L) * np.sin(2 * np.pi * Y / config.h)
-    w = project(w + 0.1 * rng.standard_normal(w.shape))
-    Bw = apply_B(w)
-    quot = float(np.sum(a_diag * w**2) / np.sum(w * Bw))
-    step = 1.0
-    for _ in range(iters):
-        grad = a_diag * w - quot * Bw
-        trial = project(w + step * grad / max(np.max(np.abs(grad)), 1e-300))
-        Bt = apply_B(trial)
-        q_trial = float(np.sum(a_diag * trial**2) / np.sum(trial * Bt))
-        if q_trial >= quot * (1.0 - 1e-15):
-            w, quot = trial / np.sqrt(np.sum(trial * Bt)), max(q_trial, quot)
-            Bw = apply_B(w)
-            step = min(step * 1.2, 1e3)
-        else:
-            step = max(step * 0.5, 1e-12)
-    return quot
 
 
 def test_two_dim_ascent_cross_check(slab, linear_profile):
