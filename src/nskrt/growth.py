@@ -192,7 +192,7 @@ def alpha(s: float, forms: ModeForms, phi: np.ndarray | None = None,
     ax = np.abs(x)
     slack = 8.0 * np.finfo(float).eps * float(
         ax @ band_matvec(np.abs(A) + abs(lo) * np.abs(M), ax) / (x @ Mx))
-    hi = max(min(hi + slack, bound), lo + slack)
+    hi = min(hi + slack, bound)
     step = 0.1
     for factorizations in range(1, _MAX_FACTORIZATIONS + 1):
         sigma = lo + step * (hi - lo)
