@@ -154,24 +154,27 @@ class Grid:
     def dealias_field(self, f: np.ndarray) -> np.ndarray:
         return self.irfft(self.rfft(f) * self.mask)
 
-    # -- vertical ghosts -----------------------------------------------
-
-    def _pad(self, f: np.ndarray, parity) -> np.ndarray:
-        """Append one reflected ghost node on each side of the last axis."""
-        lo = parity * f[..., 1:2]
-        hi = parity * f[..., -2:-1]
-        return np.concatenate([lo, f, hi], axis=-1)
+    # -- vertical parity stencils ---------------------------------------
 
     def dy(self, f: np.ndarray, parity) -> np.ndarray:
         """Wide centered d/dy2 with parity ghosts (+1 even, -1 odd; an
-        array of parities broadcasts against the leading axes)."""
-        g = self._pad(f, parity)
-        return (g[..., 2:] - g[..., :-2]) / (2.0 * self.dyy)
+        array of parities broadcasts against the leading axes).  The ghost
+        past each wall is parity times the node next to it."""
+        out = np.empty_like(f)
+        out[..., 1:-1] = f[..., 2:] - f[..., :-2]
+        out[..., :1] = f[..., 1:2] - parity * f[..., 1:2]
+        out[..., -1:] = parity * f[..., -2:-1] - f[..., -2:-1]
+        out /= 2.0 * self.dyy
+        return out
 
     def d2y(self, f: np.ndarray, parity) -> np.ndarray:
         """Compact second difference with parity ghosts (as in ``dy``)."""
-        g = self._pad(f, parity)
-        return (g[..., 2:] - 2.0 * f + g[..., :-2]) / self.dyy**2
+        out = np.empty_like(f)
+        out[..., 1:-1] = f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]
+        out[..., :1] = f[..., 1:2] - 2.0 * f[..., :1] + parity * f[..., 1:2]
+        out[..., -1:] = parity * f[..., -2:-1] - 2.0 * f[..., -1:] + f[..., -2:-1]
+        out /= self.dyy**2
+        return out
 
     # -- quadrature and norms --------------------------------------------
 

@@ -373,11 +373,11 @@ def _pcg(x, r, apply_a, precond, dot, tol: float, cap: int, fail: str,
     """Preconditioned conjugate gradients for A x = b from x, r = b - A x.
 
     A (apply_a) and the preconditioner are symmetric positive definite in
-    the inner product dot.  The iteration stops once max|r| <= tol, or with
-    test_update once max|z| <= tol for z = precond(r), the size of the next
-    update.  A zero residual returns x untouched; a curvature that is not
-    finite and positive, or more than cap iterations, raises
-    SimulationError.  Returns (x, r, iterations).
+    the inner product dot; x and r are updated in place.  The iteration
+    stops once max|r| <= tol, or with test_update once max|z| <= tol for
+    z = precond(r), the size of the next update.  A zero residual returns
+    x untouched; a curvature that is not finite and positive, or more than
+    cap iterations, raises SimulationError.  Returns (x, r, iterations).
     """
     it, p = 0, None
     while test_update or float(np.max(np.abs(r))) > tol:
@@ -389,15 +389,19 @@ def _pcg(x, r, apply_a, precond, dot, tol: float, cap: int, fail: str,
             break
         if it == cap:
             raise SimulationError(fail)
-        p = z if p is None else z + (rz / rz_old) * p
+        if p is None:
+            p = z.copy()                       # z may be r itself
+        else:
+            p *= rz / rz_old
+            p += z
         q = apply_a(p)
         pq = dot(p, q)
         if not (math.isfinite(rz) and math.isfinite(pq) and rz > 0.0 and pq > 0.0):
             raise SimulationError(
                 f"conjugate gradient breakdown (r.z = {rz:.3g}, p.Ap = {pq:.3g})")
         alpha = rz / pq
-        x = x + alpha * p
-        r = r - alpha * q
+        x += alpha * p
+        r -= alpha * q
         rz_old = rz
         it += 1
     return x, r, it
