@@ -1,6 +1,6 @@
 """Shared discrete calculus.
 
-Two families of helpers live here:
+Three families of helpers live here:
 
 * 1-D quadratic-form assembly on a uniform vertical grid with homogeneous
   Dirichlet ends eliminated (interior unknowns only).  These feed the
@@ -11,6 +11,8 @@ Two families of helpers live here:
   (simply-supported closure).  Each symmetric form is held in the three
   LAPACK upper band rows of a pentadiagonal: row 2 - j, column i + j holds
   entry (i, i + j), and the rest is zero.
+
+* Running trapezoid integrals and not-a-knot cubic splines of 1-D samples.
 
 * 2-D grid calculus on the Fourier x uniform-vertical simulation grid:
   spectral x1 derivatives, ghost-cell vertical derivatives with even/odd
@@ -24,6 +26,7 @@ direction, axis 1 the wall-bounded vertical direction.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 __all__ = [
     "lumped_mass",
@@ -31,6 +34,8 @@ __all__ = [
     "second_difference_form",
     "band_matvec",
     "trapezoid_weights",
+    "running_trapezoid",
+    "cubic_spline",
     "dy_onesided",
     "Grid",
 ]
@@ -96,6 +101,45 @@ def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
         y[:-j] += ab[2 - j, j:] * x[j:]
         y[j:] += ab[2 - j, j:] * x[:-j]
     return y
+
+
+# ---------------------------------------------------------------------------
+# 1-D sampled functions on any increasing grid
+# ---------------------------------------------------------------------------
+
+def running_trapezoid(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of f from x[0] to each node of x."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (f[1:] + f[:-1]) / 2.0)])
+
+
+def cubic_spline(x: np.ndarray, y: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Not-a-knot cubic spline through (x, y), evaluated at xs.
+
+    The node slopes solve one tridiagonal system; each interval is then the
+    cubic Hermite piece.  Three nodes give the parabola through them.
+    """
+    n = x.size
+    dx = np.diff(x)
+    m = np.diff(y) / dx
+    ab = np.zeros((3, n))
+    b = np.empty(n)
+    ab[0, 2:] = dx[:-1]
+    ab[1, 1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    ab[2, :-2] = dx[1:]
+    b[1:-1] = 3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:])
+    if n == 3:                  # parabola: s0 + s1 = 2 m0, s1 + s2 = 2 m1
+        ab[1, 0] = ab[0, 1] = ab[1, -1] = ab[2, -2] = 1.0
+        b[0], b[-1] = 2.0 * m[0], 2.0 * m[-1]
+    else:                       # third derivative continuous at x[1] and x[-2]
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        ab[1, 0], ab[0, 1], ab[1, -1], ab[2, -2] = dx[1], d0, dx[-2], d1
+        b[0] = ((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0]**2 * m[1]) / d0
+        b[-1] = (dx[-1]**2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1
+    s = solve_banded((1, 1), ab, b, check_finite=False)
+    i = np.clip(np.searchsorted(x, xs, side="right") - 1, 0, n - 2)
+    t = xs - x[i]
+    c = (s[i] + s[i + 1] - 2.0 * m[i]) / dx[i]
+    return ((c / dx[i] * t + ((m[i] - s[i]) / dx[i] - c)) * t + s[i]) * t + y[i]
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,9 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, VacuumError
+from .operators import cubic_spline, running_trapezoid
 
 __all__ = [
     "SlabConfig",
@@ -161,8 +160,8 @@ class DensityProfile:
             s = self.sampler
             return DensityProfile(y, s.rho(y), s.d1(y), s.d2(y), s.d3(y),
                                   kind=self.kind, sampler=s)
-        spline = CubicSpline(self.nodes, self.rho)
-        return _profile_from_samples(y, spline(y), kind="tabulated")
+        return _profile_from_samples(y, cubic_spline(self.nodes, self.rho, y),
+                                     kind="tabulated")
 
 
 @dataclass(frozen=True)
@@ -347,7 +346,7 @@ def make_tabulated_profile(y: np.ndarray, rho: np.ndarray) -> DensityProfile:
     if np.allclose(dy, dy[0], rtol=1e-10, atol=0.0):
         return _profile_from_samples(y, rho, kind="tabulated")
     yu = np.linspace(y[0], y[-1], y.size)
-    return _profile_from_samples(yu, CubicSpline(y, rho)(yu), kind="tabulated")
+    return _profile_from_samples(yu, cubic_spline(y, rho, yu), kind="tabulated")
 
 
 def load_profile(path: str | Path) -> DensityProfile:
@@ -400,4 +399,4 @@ def equilibrium_pressure(p: DensityProfile, config: SlabConfig) -> np.ndarray:
     trapezoid rule on the profile grid.
     """
     integrand = config.kappa * p.rho * p.d3 - config.g * p.rho
-    return cumulative_trapezoid(integrand, p.nodes, initial=0.0)
+    return running_trapezoid(integrand, p.nodes)

@@ -64,12 +64,10 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import CflError, ConfigError, SimulationError, VacuumError
-from .operators import Grid, dy_onesided
+from .operators import Grid, cubic_spline, dy_onesided, running_trapezoid
 from .profiles import DensityProfile, SlabConfig, check_admissibility
 
 __all__ = [
@@ -481,7 +479,7 @@ def _predict_pressure(a1: np.ndarray, a2: np.ndarray, c: np.ndarray,
     scale = float(max(np.max(np.abs(rhs)), 1e-300))
     beta = _var_poisson(rhs, c, ws, rc, scale, "pressure prediction")[0]
     a2bar = np.mean(a2, axis=0)
-    beta0 = cumulative_trapezoid(a2bar / ws.c_base[0], g.y, initial=0.0)
+    beta0 = running_trapezoid(a2bar / ws.c_base[0], g.y)
     return beta + beta0.reshape(1, -1)
 
 
@@ -709,8 +707,8 @@ def init_state(rc: RunConfig, p: DensityProfile, config: SlabConfig,
         if gr is None or gr.Lambda <= 0.0 or gr.w2 is None:
             raise ConfigError("eigenfunction init needs a GrowthResult with Lambda > 0")
         xi = gr.k_star / config.L
-        phi = CubicSpline(gr.nodes, gr.w2)(g.y)
-        w1v = CubicSpline(gr.nodes, gr.w1)(g.y)
+        phi = cubic_spline(gr.nodes, gr.w2, g.y)
+        w1v = cubic_spline(gr.nodes, gr.w1, g.y)
         sx = np.sin(xi * g.x).reshape(-1, 1)
         cx = np.cos(xi * g.x).reshape(-1, 1)
         v2 = sx * phi.reshape(1, -1)
