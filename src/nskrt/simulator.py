@@ -64,10 +64,11 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import CflError, ConfigError, SimulationError, VacuumError
-from .operators import Grid, cubic_spline, dy_onesided, running_trapezoid
+from .operators import (Grid, cubic_spline, dy_onesided, running_trapezoid,
+                        trapezoid_weights)
 from .profiles import DensityProfile, SlabConfig, check_admissibility
 
 __all__ = [
@@ -217,28 +218,32 @@ def solver_iterations(rc: RunConfig, p: DensityProfile, config: SlabConfig) -> d
 # ---------------------------------------------------------------------------
 
 class _TriFactor:
-    """LU factor of tridiagonal systems, batched over the leading axes.
+    """LDL^T factor of tridiagonal systems, batched over the leading axes.
 
-    sub[..., i] multiplies x[..., i-1] in row i (sub[..., 0] unused), and
-    sup[..., i] multiplies x[..., i+1] (sup[..., -1] unused).  The batch is
-    flattened into one block-diagonal system (the unused entries are the
-    zero couplings between blocks) and factored once by LAPACK dgttrf;
-    repeated right-hand sides reuse the factor through dgttrs.
+    Row i of the system has diagonal diag[..., i] and couples x[..., i+1]
+    through sup[..., i] (sup[..., -1] unused); times weight[..., i] the
+    rows form a symmetric positive definite matrix, whose off-diagonal is
+    taken from the weighted sup.  The batch is flattened into one
+    block-diagonal system (zero couplings between blocks) and factored once
+    by LAPACK dpttrf; repeated right-hand sides, weighted, reuse the factor
+    through dpttrs.
     """
 
-    def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray):
-        dl, du = np.array(sub, dtype=float), np.array(sup, dtype=float)
-        dl[..., 0] = du[..., -1] = 0.0
+    def __init__(self, diag: np.ndarray, sup: np.ndarray, weight: np.ndarray):
+        e = weight * sup
+        e[..., -1] = 0.0
         self.shape = diag.shape
-        *self.lu, info = dgttrf(dl.reshape(-1)[1:], np.ravel(diag), du.reshape(-1)[:-1])
+        self.weight = weight
+        *self.ldl, info = dpttrf(np.ravel(weight * diag), e.reshape(-1)[:-1])
         if info != 0:
-            raise SimulationError(f"tridiagonal factor is singular (dgttrf info={info})")
+            raise SimulationError(
+                f"tridiagonal factor is not positive definite (dpttrf info={info})")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for a complex right-hand side of the factor's shape; the
-        real and imaginary parts are the two columns of one dgttrs call."""
-        b = np.ascontiguousarray(rhs, dtype=complex).view(float).reshape(-1, 2)
-        x, _ = dgttrs(*self.lu, b)
+        real and imaginary parts are the two columns of one dpttrs call."""
+        b = np.ascontiguousarray(self.weight * rhs).view(float).reshape(-1, 2)
+        x, _ = dpttrs(*self.ldl, b)
         return np.ascontiguousarray(x).view(complex).reshape(self.shape)
 
 
@@ -247,7 +252,10 @@ def _cn_factor(ws: _Workspace, dt: float) -> _TriFactor:
 
     v1 wall rows use the even-ghost mirror Laplacian, v2 wall rows are
     pinned to zero (Dirichlet); the systems are batched as (mode, row, y2),
-    row 0 for v1 and row 1 for v2.  Cached per step size.
+    row 0 for v1 and row 1 for v2.  Times rho_bar, and halved in the wall
+    rows (the trapezoid weights), the system is symmetric positive
+    definite; the v2 wall rows decouple, since their right-hand side is
+    always zero.  Cached per step size.
     """
     cached = ws._cn_factors.get(dt)
     if cached is not None:
@@ -256,15 +264,13 @@ def _cn_factor(ws: _Workspace, dt: float) -> _TriFactor:
     shape = (g.xi.shape[0], 2, g.Ny + 1)
     dyy = g.dyy
     a = 0.5 * dt * ws.nu_base[0]               # (n,) coefficient column
-    sub = np.empty(shape); sup = np.empty(shape); diag = np.empty(shape)
-    sub[:] = -a / dyy**2
+    sup = np.empty(shape); diag = np.empty(shape)
     sup[:] = -a / dyy**2
     diag[:] = 1.0 + a * (2.0 / dyy**2 + g.xi[:, :, None]**2)
-    sup[:, 0, 0] = -2.0 * a[0] / dyy**2        # v1 mirror rows
-    sub[:, 0, -1] = -2.0 * a[-1] / dyy**2
-    diag[:, 1, 0] = 1.0;  sup[:, 1, 0] = 0.0   # v2 Dirichlet rows
-    diag[:, 1, -1] = 1.0; sub[:, 1, -1] = 0.0
-    factor = _TriFactor(sub, diag, sup)
+    sup[:, 0, 0] = -2.0 * a[0] / dyy**2        # v1 mirror row
+    diag[:, 1, [0, -1]] = 1.0                  # v2 Dirichlet rows, decoupled
+    sup[:, 1, [0, -2]] = 0.0
+    factor = _TriFactor(diag, sup, ws.rho_b[0] * trapezoid_weights(g.Ny + 1, 1.0))
     if len(ws._cn_factors) > 16:               # adaptive runs: bounded cache
         ws._cn_factors.clear()
     ws._cn_factors[dt] = factor
@@ -279,7 +285,9 @@ def _projection_factor(ws: _Workspace, xi2: np.ndarray) -> tuple[_TriFactor, np.
     the even and the odd nodes form two chains; the wall rows take the even
     ghost reflection of phi.  With the even nodes listed before the odd
     ones the operator is tridiagonal: the chains meet with zero coupling.
-    Mode 0 rows are identities, masked by the caller.
+    Times minus the trapezoid weights it is symmetric positive definite.
+    Mode 0 rows are minus identities (the weighted form's identities),
+    masked by the caller.
     """
     g = ws.grid
     c = ws.c_base[0]
@@ -291,9 +299,9 @@ def _projection_factor(ws: _Workspace, xi2: np.ndarray) -> tuple[_TriFactor, np.
     sup[:, 0] *= 2.0                           # even-ghost reflection at the walls
     sub[:, -1] *= 2.0
     diag = -(sub + sup) - xi2 * c
-    diag[0], sub[0], sup[0] = 1.0, 0.0, 0.0
+    diag[0], sup[0] = -1.0, 0.0
     order = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)])
-    return _TriFactor(sub[:, order], diag[:, order], sup[:, order]), order
+    return _TriFactor(diag[:, order], sup[:, order], -trapezoid_weights(n, 1.0)[order]), order
 
 
 def _projection_solve(r_hat: np.ndarray, ws: _Workspace, factor=None) -> np.ndarray:

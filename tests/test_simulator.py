@@ -63,9 +63,11 @@ def test_cn_solve_pair_solves_mirror_and_dirichlet_rows(Ny, slab, linear_profile
 
 
 def test_singular_tridiagonal_factor_raises():
-    zero = np.zeros((2, 5))
-    with pytest.raises(SimulationError, match="singular"):
-        _TriFactor(zero, zero, zero)
+    zero, one = np.zeros((2, 5)), np.ones((2, 5))
+    with pytest.raises(SimulationError, match="not positive definite"):
+        _TriFactor(zero, zero, one)                 # singular
+    with pytest.raises(SimulationError, match="not positive definite"):
+        _TriFactor(one, 0.1 * one, -one)            # weighted form negative definite
 
 
 def _spd_system(n=12, seed=0):
