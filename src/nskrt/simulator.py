@@ -86,7 +86,8 @@ __all__ = [
     "read_checkpoint",
 ]
 
-CHECKPOINT_HEADER = b"nsk-ckpt v1\n"
+CHECKPOINT_HEADER = b"nsk-ckpt v2\n"
+CHECKPOINT_HEADER_V1 = b"nsk-ckpt v1\n"
 
 
 @dataclass(frozen=True)
@@ -702,7 +703,9 @@ def init_state(rc: RunConfig, p: DensityProfile, config: SlabConfig,
 
     if init.kind == "file":
         st = read_checkpoint(init.path, rc)
-        if rc.linearized and st.s2 is None:
+        if not rc.linearized:
+            st.s2 = None
+        elif st.s2 is None:                    # a v1 or a nonlinear run's checkpoint
             rep = check_admissibility(ws.profile)
             st.s2 = (-st.rho_pert / ws.d1 if rep.stabilizing else np.zeros(shape))
         return st
@@ -843,28 +846,41 @@ def escape_time(rc: RunConfig, p: DensityProfile, config: SlabConfig,
 # ---------------------------------------------------------------------------
 
 def write_checkpoint(state: FieldState, path: str | Path) -> None:
-    """Header line then little-endian float64: t, rho_pert, v1, v2 (row-major)."""
+    """Header line, little-endian int64 step_index, then little-endian
+    float64: t, rho_pert, v1, v2 and, for linearized runs, s2 (row-major)."""
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_HEADER)
+        fh.write(np.array([state.step_index], dtype="<i8").tobytes())
         fh.write(np.array([state.t], dtype="<f8").tobytes())
-        for arr in (state.rho_pert, state.v1, state.v2):
+        fields = (state.rho_pert, state.v1, state.v2)
+        for arr in fields if state.s2 is None else fields + (state.s2,):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def read_checkpoint(path: str | Path, rc: RunConfig) -> FieldState:
+    """Read a checkpoint of rc's grid.  A v1 file (header ``nsk-ckpt v1``,
+    no step index, no s2) restarts at step_index 0 without s2."""
     path = Path(path)
     raw = path.read_bytes()
-    if not raw.startswith(CHECKPOINT_HEADER):
+    if raw.startswith(CHECKPOINT_HEADER_V1):
+        step_index, body, counts = 0, raw[len(CHECKPOINT_HEADER_V1):], (3,)
+    elif raw.startswith(CHECKPOINT_HEADER):
+        n = len(CHECKPOINT_HEADER)
+        step_index = int.from_bytes(raw[n:n + 8], "little", signed=True)
+        body, counts = raw[n + 8:], (3, 4)
+    else:
         raise ConfigError(f"{path}: not a checkpoint (bad header)")
-    data = np.frombuffer(raw[len(CHECKPOINT_HEADER):], dtype="<f8")
     npt = rc.Nx * (rc.Ny + 1)
-    if data.size != 1 + 3 * npt:
+    floats = [1 + k * npt for k in counts]
+    if len(body) not in [8 * f for f in floats] or step_index < 0:
         raise ConfigError(
-            f"{path}: expected {1 + 3 * npt} floats for Nx={rc.Nx}, Ny={rc.Ny}, "
-            f"got {data.size}")
+            f"{path}: expected {' or '.join(map(str, floats))} floats for Nx={rc.Nx}, "
+            f"Ny={rc.Ny} and a step index >= 0, got {len(body) / 8:g} and {step_index}")
+    data = np.frombuffer(body, dtype="<f8")
     if not np.all(np.isfinite(data)):
         raise ConfigError(f"{path}: non-finite time or field value")
-    t = float(data[0])
     shape = (rc.Nx, rc.Ny + 1)
-    fields = [data[1 + i * npt: 1 + (i + 1) * npt].reshape(shape).copy() for i in range(3)]
-    return FieldState(t, fields[0], fields[1], fields[2], 0, None)
+    fields = [data[1 + i * npt: 1 + (i + 1) * npt].reshape(shape).copy()
+              for i in range(data.size // npt)]
+    return FieldState(float(data[0]), *fields[:3], step_index,
+                      fields[3] if len(fields) == 4 else None)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,17 +297,71 @@ def test_make_state_validates_shapes(slab, linear_profile):
 def test_checkpoint_roundtrip(tmp_path, slab, linear_profile):
     rc = _zero_rc(init=Init("random_smooth", delta=1e-3), seed=11)
     s = init_state(rc, linear_profile, slab)
-    s.t = 1.75
+    s.t, s.step_index = 1.75, 35
     path = tmp_path / "state.bin"
     write_checkpoint(s, path)
     raw = path.read_bytes()
-    assert raw.startswith(b"nsk-ckpt v1\n")
-    assert len(raw) == len(b"nsk-ckpt v1\n") + 8 * (1 + 3 * 32 * 33)
+    assert raw.startswith(b"nsk-ckpt v2\n")
+    assert len(raw) == len(b"nsk-ckpt v2\n") + 8 * (2 + 3 * 32 * 33)
     q = read_checkpoint(path, rc)
-    assert q.t == 1.75
+    assert q.t == 1.75 and q.step_index == 35 and q.s2 is None
     assert np.array_equal(q.rho_pert, s.rho_pert)
     assert np.array_equal(q.v1, s.v1)
     assert np.array_equal(q.v2, s.v2)
+
+
+def test_checkpoint_keeps_s2_of_linearized_runs(tmp_path, slab, linear_profile):
+    rc = _zero_rc(init=Init("random_smooth", delta=1e-3), seed=11, linearized=True)
+    s = step(init_state(rc, linear_profile, slab), rc, linear_profile, slab)
+    s.s2 = s.s2 + 0.25                         # not recoverable from rho_pert
+    path = tmp_path / "state.bin"
+    write_checkpoint(s, path)
+    assert len(path.read_bytes()) == len(b"nsk-ckpt v2\n") + 8 * (2 + 4 * 32 * 33)
+    q = read_checkpoint(path, rc)
+    assert q.step_index == 1 and np.array_equal(q.s2, s.s2)
+    assert np.array_equal(init_state(replace(rc, init=Init("file", path=str(path))),
+                                     linear_profile, slab).s2, s.s2)
+    # a nonlinear restart carries no s2
+    assert init_state(replace(rc, linearized=False, init=Init("file", path=str(path))),
+                      linear_profile, slab).s2 is None
+
+
+def test_checkpoint_v1_still_loads(tmp_path, slab, linear_profile):
+    rc = _zero_rc(init=Init("random_smooth", delta=1e-3), seed=11)
+    s = init_state(rc, linear_profile, slab)
+    path = tmp_path / "v1.bin"
+    path.write_bytes(b"nsk-ckpt v1\n" + np.array([1.75], "<f8").tobytes()
+                     + b"".join(np.ascontiguousarray(a, "<f8").tobytes()
+                                for a in (s.rho_pert, s.v1, s.v2)))
+    q = read_checkpoint(path, rc)
+    assert q.t == 1.75 and q.step_index == 0 and q.s2 is None
+    assert np.array_equal(q.rho_pert, s.rho_pert)
+    assert np.array_equal(q.v1, s.v1) and np.array_equal(q.v2, s.v2)
+    # a linearized restart rebuilds s2 from the transport relation, as before
+    lin = replace(rc, linearized=True, init=Init("file", path=str(path)))
+    assert np.array_equal(init_state(lin, linear_profile, slab).s2,
+                          -s.rho_pert / linear_profile.resample(32).d1)
+
+
+@pytest.mark.parametrize("linearized", [False, True])
+def test_restart_keeps_output_cadence(tmp_path, linearized, slab, linear_profile):
+    # stop after step 5 and restart: the records, the checkpoint names and
+    # the final state are those of the uninterrupted run
+    rc = _zero_rc(dt=0.02, t_end=15 * 0.02, output_every=4, checkpoint_every=5,
+                  init=Init("random_smooth", delta=1e-3), seed=9, linearized=linearized)
+    ref_dir, re_dir = tmp_path / "ref", tmp_path / "re"
+    ref_dir.mkdir(), re_dir.mkdir()
+    ref, ref_records = run(replace(rc, checkpoint_dir=str(ref_dir)), linear_profile, slab)
+    resumed = replace(rc, checkpoint_dir=str(re_dir),
+                      init=Init("file", path=str(ref_dir / "ckpt_00000005.bin")))
+    final, records = run(resumed, linear_profile, slab)
+    t5 = records[0].t
+    assert [r.t for r in records] == [t5] + [r.t for r in ref_records if r.t > t5]
+    assert sorted(p.name for p in re_dir.iterdir()) == ["ckpt_00000010.bin",
+                                                        "ckpt_00000015.bin"]
+    assert final.step_index == ref.step_index == 15
+    for name in ("rho_pert", "v1", "v2") + (("s2",) if linearized else ()):
+        assert np.array_equal(getattr(final, name), getattr(ref, name))
 
 
 def test_checkpoint_header_and_size_validation(tmp_path, slab):
@@ -326,7 +381,7 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, slab, linear_profile):
     path = tmp_path / "state.bin"
     write_checkpoint(init_state(rc, linear_profile, slab), path)
     good = path.read_bytes()
-    header = len(b"nsk-ckpt v1\n")
+    header = len(b"nsk-ckpt v2\n") + 8        # and the step index
     for index, value in ((0, math.inf), (1 + 32 * 33 + 40, math.nan)):   # t, then v1
         raw = bytearray(good)
         raw[header + 8 * index: header + 8 * index + 8] = np.array([value], "<f8").tobytes()
