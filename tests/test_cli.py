@@ -143,7 +143,7 @@ output_every = 5
     assert summary["results"]["max_div_rel"] <= 1e-8
     _assert_iterations(summary["results"])
     assert (out / "series.csv").exists()
-    assert (out / "final.bin").read_bytes().startswith(b"nsk-ckpt v1\n")
+    assert (out / "final.bin").read_bytes().startswith(b"nsk-ckpt v2\n")
 
 
 def test_sweep_dichotomy(tmp_path):

@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import nskrt.diagnostics
 from nskrt import (CflError, ConfigError, SimulationError, SlabConfig, VacuumError,
-                   compute_growth, compute_kappa_c)
+                   compute_growth, compute_kappa_c, random_stabilizing_profile)
 from nskrt.diagnostics import fit_growth, record
 from nskrt.simulator import (FieldState, Init, RunConfig, _cn_factor, _pcg,
                              _projection_solve, _TriFactor, _var_poisson, _viscous_half,
@@ -218,6 +219,18 @@ def test_equilibrium_is_exact_fixed_point(slab, linear_profile):
     assert np.max(np.abs(s.rho_pert)) == 0.0
     assert np.max(np.abs(s.v1)) == 0.0
     assert np.max(np.abs(s.v2)) == 0.0
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.05), st.booleans())
+def test_zero_state_is_exact_fixed_point_on_random_profiles(seed, kappa, linearized):
+    config = SlabConfig(g=1.0, mu=0.1, kappa=kappa, L=1.0, h=1.0)
+    p = random_stabilizing_profile(config, 64, np.random.default_rng(seed))
+    rc = _zero_rc(linearized=linearized, dt=0.02)
+    s = init_state(rc, p, config)
+    for _ in range(25):
+        s = step(s, rc, p, config)
+    for name in ("rho_pert", "v1", "v2") + (("s2",) if linearized else ()):
+        assert np.all(getattr(s, name) == 0.0), name
 
 
 def test_delta_zero_init_is_zero_state(slab, linear_profile):
