@@ -16,10 +16,10 @@ import numpy as np
 from .diagnostics import (bounded_decay_check, fit_escape, fit_growth,
                           poincare_min_quotient)
 from .growth import compute_growth
-from .operators import Grid
 from .profiles import (SlabConfig, make_boundary_flat_profile,
                        make_linear_profile, random_stabilizing_profile)
-from .simulator import Init, RunConfig, _l1_speed, escape_time, init_state, run
+from .simulator import (Init, RunConfig, _l1_speed, _workspace, escape_time,
+                        init_state, run)
 from .threshold import compute_kappa_c, remark_bound
 
 __all__ = ["CriterionResult", "run_acceptance", "CRITERIA"]
@@ -154,7 +154,7 @@ def _criterion_7():
     probe = init_state(RunConfig(Nx=128, Ny=128, t_end=1.0, dt=0.02,
                                  init=Init("eigenfunction", delta=1e-3)),
                        p, config, gr=gr)
-    eps = 0.02 * _l1_speed(probe, Grid(rc.Nx, rc.Ny, config.L, config.h)) / 1e-3
+    eps = 0.02 * _l1_speed(probe, _workspace(rc, p, config).grid) / 1e-3
     deltas = [1e-4, 3e-4, 1e-3, 3e-3]
     pairs = escape_time(rc, p, config, deltas, eps, gr=gr)
     if any(t is None for _, t in pairs):
@@ -203,7 +203,7 @@ def _criterion_9():
     rc = RunConfig(Nx=64, Ny=64, t_end=20.0, dt=0.02, seed=5, output_every=1,
                    init=Init("random_smooth", delta=1e-3))
     state0 = init_state(rc, p, config)
-    grid = Grid(rc.Nx, rc.Ny, config.L, config.h)
+    grid = _workspace(rc, p, config).grid
     l1_rho0 = grid.integrate(np.abs(state0.rho_pert))
     _, series = run(rc, p, config)
     drift = abs(series[-1].mass_pert - series[0].mass_pert)

@@ -126,13 +126,11 @@ class ExperimentSpec:
 
     def run_config(self) -> RunConfig:
         r = self.values["run"]
-        fixed = not math.isnan(r["dt"])
         init = Init(kind=r["init"], delta=r["delta"], cutoff=r["cutoff"],
                     path=r["init_file"] or None)
         return RunConfig(
             Nx=r["nx"], Ny=r["ny"], t_end=r["t_end"],
-            dt_mode="fixed" if fixed else "adaptive",
-            dt=r["dt"] if fixed else None,
+            dt=None if math.isnan(r["dt"]) else r["dt"],
             cfl_adv=r["cfl_adv"], cfl_cap=r["cfl_cap"],
             linearized=r["linearized"], seed=r["seed"],
             init=init, output_every=r["output_every"],

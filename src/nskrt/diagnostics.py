@@ -32,20 +32,23 @@ not the Lagrangian functional itself.
 
 Derivatives are spectral in x1 and second-order centered in y2, matching
 the simulator's discretization so the identities close at discretization
-accuracy.
+accuracy.  The grid, the equilibrium columns and the stabilizing flag come
+from the simulator's cached workspace of the field's grid, so a run's
+records reuse what its steps built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
-from .operators import Grid, dy_onesided, stiffness
-from .profiles import DensityProfile, SlabConfig, check_admissibility
+from .operators import Grid, dy_onesided
+from .profiles import DensityProfile, SlabConfig, make_linear_profile
+from .simulator import _grid_workspace
+from .threshold import assemble_mode_quotient, mode_threshold
 
 
 __all__ = [
@@ -95,9 +98,9 @@ RECORD_FIELDS = [f.name for f in dc_fields(EnergyRecord)]
 def potential_energy(w2_field: np.ndarray, p: DensityProfile, config: SlabConfig) -> float:
     """E evaluated on a vertical-velocity-like field (zero at the walls)."""
     nx, ny1 = w2_field.shape
-    g = Grid(nx, ny1 - 1, config.L, config.h)
-    d1 = p.resample(ny1 - 1).d1.reshape(1, -1)
-    return _potential_energy(w2_field, g.dx1(w2_field), g.dy(w2_field, -1), g, d1, config)
+    ws = _grid_workspace(nx, ny1 - 1, p, config)
+    g = ws.grid
+    return _potential_energy(w2_field, g.dx1(w2_field), g.dy(w2_field, -1), g, ws.d1, config)
 
 
 def _potential_energy(w2, dx_w2, dy_w2, g: Grid, d1, config: SlabConfig) -> float:
@@ -109,10 +112,8 @@ def _potential_energy(w2, dx_w2, dy_w2, g: Grid, d1, config: SlabConfig) -> floa
 def record(s, p: DensityProfile, config: SlabConfig) -> EnergyRecord:
     """Compute every diagnostic for one simulation state."""
     nx, ny1 = s.v1.shape
-    g = Grid(nx, ny1 - 1, config.L, config.h)
-    pN = p.resample(ny1 - 1)
-    rho_b = pN.rho.reshape(1, -1)
-    d1 = pN.d1.reshape(1, -1)
+    ws = _grid_workspace(nx, ny1 - 1, p, config)
+    g, rho_b, d1 = ws.grid, ws.rho_b, ws.d1
     v1, v2, rho_p = s.v1, s.v2, s.rho_pert
 
     dx_v1, dy_v1 = g.dx1(v1), g.dy(v1, +1)
@@ -149,8 +150,7 @@ def record(s, p: DensityProfile, config: SlabConfig) -> EnergyRecord:
     epot = _potential_energy(v2, dx_v2, dy_v2, g, d1, config)
 
     w = 1.0 + s.t
-    rep = check_admissibility(pN)
-    eta_proxy = (w**3 * g.l2(rho_p / d1) ** 2) if rep.stabilizing else math.nan
+    eta_proxy = (w**3 * g.l2(rho_p / d1) ** 2) if ws.stabilizing else math.nan
 
     div = dx_v1 + dy_v2
     linf_v = float(np.max(np.sqrt(v1**2 + v2**2)))
@@ -255,16 +255,13 @@ def poincare_min_quotient(config: SlabConfig, Ny: int = 256) -> float:
     The minimizer lives in the k = 1 horizontal mode with a Dirichlet
     vertical profile, so the minimum is the smallest eigenvalue of
     (K + xi^2 M) phi = lambda M phi with xi = 1/L; it converges to
-    pi^2/h^2 + 1/L^2 at second order in the grid.  The lumped mass is
-    M = dy I, so this is the tridiagonal K/dy + xi^2 I.
+    pi^2/h^2 + 1/L^2 at second order in the grid.  That pencil is the
+    threshold's mode-1 quotient for a unit-slope profile at g = 1, whose
+    largest eigenvalue is the reciprocal of this one.
     """
-    dy = config.h / Ny
-    K = stiffness(np.ones(Ny + 1), dy) / dy
-    xi = 1.0 / config.L
-    vals = scipy.linalg.eigh_tridiagonal(
-        K[2] + xi**2, K[1, 1:], eigvals_only=True, select="i",
-        select_range=(0, 0), tol=2.0 * np.finfo(float).tiny)
-    return float(vals[0])
+    unit = replace(config, g=1.0)
+    op = assemble_mode_quotient(make_linear_profile(1.0, 1.0, unit, Ny), unit, 1)
+    return 1.0 / mode_threshold(op)[0]
 
 
 def write_series(series: list[EnergyRecord], path: str | Path) -> None:

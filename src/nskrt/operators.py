@@ -228,13 +228,3 @@ class Grid:
 
     def l2(self, *fields: np.ndarray) -> float:
         return float(np.sqrt(sum(self.integrate(f * f) for f in fields)))
-
-    def l2_fourier(self, f: np.ndarray) -> float:
-        """Same L2 norm evaluated from rfft coefficients (Parseval)."""
-        fh = self.rfft(f)
-        w = np.full(fh.shape[0], 2.0)
-        w[0] = 1.0
-        if self.Nx % 2 == 0:
-            w[-1] = 1.0
-        col = (np.abs(fh) ** 2 * w.reshape(-1, 1)) @ self.wy
-        return float(np.sqrt(self.dx * np.sum(col) / self.Nx))

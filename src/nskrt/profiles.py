@@ -355,12 +355,15 @@ def load_profile(path: str | Path) -> DensityProfile:
     The first line must be the header '# profile v1'.
     """
     path = Path(path)
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != PROFILE_HEADER:
-            raise ConfigError(
-                f"{path}: expected header {PROFILE_HEADER!r}, got {header!r}")
-        data = np.loadtxt(fh)
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            if header != PROFILE_HEADER:
+                raise ConfigError(
+                    f"{path}: expected header {PROFILE_HEADER!r}, got {header!r}")
+            data = np.loadtxt(fh)
+    except (OSError, ValueError) as exc:        # missing, unreadable or unparsable
+        raise ConfigError(f"cannot read profile file {path}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 2:
         raise ConfigError(f"{path}: expected two columns (y2, rho)")
     return make_tabulated_profile(data[:, 0], data[:, 1])

@@ -40,7 +40,8 @@ or its inverse, until the discrete divergence or the next update is at
 rounding level.  The convergence rate depends on the density contrast
 only through the spread of rho/rho_bar, which carries the solves to
 rho/rho_bar in 0.3-1.7.  Linearized runs keep rho = rho_bar in both
-operators, and there each is one direct banded solve.  Each substep first
+operators, and there each is one direct banded solve; both paths use one
+projection factor, its Nyquist rows shifted.  Each substep first
 predicts the pressure from the instantaneous force balance (the same
 elliptic solve applied to div of the acceleration), so the corrector only
 removes an O(dt^2) divergence and the projection's kinetic-energy
@@ -60,11 +61,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import zpttrf, zpttrs
 
 from .errors import CflError, ConfigError, SimulationError, VacuumError
 from .operators import (Grid, cubic_spline, dy_onesided, running_trapezoid,
@@ -120,8 +121,7 @@ class RunConfig:
     Nx: int
     Ny: int
     t_end: float
-    dt_mode: str = "fixed"        # 'fixed' or 'adaptive'
-    dt: float | None = None
+    dt: float | None = None       # None: adaptive steps (suggest_dt)
     cfl_adv: float = 0.5
     cfl_cap: float = 0.3
     linearized: bool = False
@@ -137,10 +137,8 @@ class RunConfig:
             raise ConfigError(f"Nx must be a power of two >= 4, got {self.Nx}")
         if self.Ny < 16:
             raise ConfigError(f"Ny must be >= 16, got {self.Ny}")
-        if self.dt_mode not in ("fixed", "adaptive"):
-            raise ConfigError(f"dt_mode must be 'fixed' or 'adaptive', got {self.dt_mode!r}")
-        if self.dt_mode == "fixed" and not (self.dt and self.dt > 0):
-            raise ConfigError("fixed dt_mode requires dt > 0")
+        if not (self.dt is None or self.dt > 0):
+            raise ConfigError(f"dt must be > 0 (or None for adaptive steps), got {self.dt}")
         if self.output_every < 1:
             raise ConfigError("output_every must be >= 1")
 
@@ -162,33 +160,22 @@ class FieldState:
 
 
 class _Workspace:
-    """Grid, equilibrium columns, cached banded factorizations and the
-    conjugate-gradient iteration counts of the steps taken on them."""
+    """Grid, equilibrium columns and stabilizing flag, cached banded
+    factorizations and the conjugate-gradient iteration counts of the steps."""
 
     def __init__(self, Nx: int, Ny: int, p: DensityProfile, config: SlabConfig):
         self.grid = Grid(Nx, Ny, config.L, config.h)
         pN = p.resample(Ny)
-        self.profile = pN
         self.rho_b = pN.rho.reshape(1, -1)
         self.d1 = pN.d1.reshape(1, -1)
+        self.stabilizing = check_admissibility(pN).stabilizing
         self.c_base = 1.0 / self.rho_b                 # 1/rho_bar(y2)
         self.mu = config.mu
         self.nu_base = config.mu * self.c_base         # CN viscosity coefficient
-        self.proj_factor, self.proj_order = _projection_factor(self, self.grid.xi**2)
+        self.proj_factor, self.proj_order = _projection_factor(self)
         self._cn_factors: dict[float, "_TriFactor"] = {}
         self.iterations = {"projection": 0, "viscous": 0}  # of the current step
         self.per_step: list[dict[str, int]] = []       # one entry per step taken
-
-    @cached_property
-    def pcg_factor(self) -> "_TriFactor":
-        """The projection factor that preconditions the variable-density
-        solve.  That operator has no x1-derivative at Nyquist (Grid.dx1
-        zeroes it), so the Nyquist rows trade xi^2 for a shift of the size
-        of the low vertical eigenvalues, (2 pi / h)^2, which keeps them
-        definite.  Built on first use: linearized runs never need it."""
-        xi2 = self.grid.xi**2
-        xi2[-1] = (2.0 * math.pi / self.grid.h)**2
-        return _projection_factor(self, xi2)[0]
 
 
 def _workspace(rc: RunConfig, p: DensityProfile, config: SlabConfig) -> _Workspace:
@@ -226,8 +213,9 @@ class _TriFactor:
     rows form a symmetric positive definite matrix, whose off-diagonal is
     taken from the weighted sup.  The batch is flattened into one
     block-diagonal system (zero couplings between blocks) and factored once
-    by LAPACK dpttrf; repeated right-hand sides, weighted, reuse the factor
-    through dpttrs.
+    by LAPACK zpttrf; repeated complex right-hand sides, weighted, reuse the
+    factor through one zpttrs call.  The off-diagonal is real, so the
+    complex routines give the real ones' results on each part.
     """
 
     def __init__(self, diag: np.ndarray, sup: np.ndarray, weight: np.ndarray):
@@ -235,17 +223,16 @@ class _TriFactor:
         e[..., -1] = 0.0
         self.shape = diag.shape
         self.weight = weight
-        *self.ldl, info = dpttrf(np.ravel(weight * diag), e.reshape(-1)[:-1])
+        *self.ldl, info = zpttrf(np.ravel(weight * diag), e.reshape(-1)[:-1])
         if info != 0:
             raise SimulationError(
-                f"tridiagonal factor is not positive definite (dpttrf info={info})")
+                f"tridiagonal factor is not positive definite (zpttrf info={info})")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for a complex right-hand side of the factor's shape; the
-        real and imaginary parts are the two columns of one dpttrs call."""
-        b = np.ascontiguousarray(self.weight * rhs).view(float).reshape(-1, 2)
-        x, _ = dpttrs(*self.ldl, b)
-        return np.ascontiguousarray(x).view(complex).reshape(self.shape)
+        """Solve for a complex right-hand side of the factor's shape (in
+        place in the weighted copy)."""
+        x, _ = zpttrs(*self.ldl, (self.weight * rhs).reshape(-1, 1), overwrite_b=True)
+        return x.reshape(self.shape)
 
 
 def _cn_factor(ws: _Workspace, dt: float) -> _TriFactor:
@@ -278,9 +265,13 @@ def _cn_factor(ws: _Workspace, dt: float) -> _TriFactor:
     return factor
 
 
-def _projection_factor(ws: _Workspace, xi2: np.ndarray) -> tuple[_TriFactor, np.ndarray]:
-    """Factor of the per-mode operator [Dy(c0 Dy .) - xi2 c0] (Neumann ghosts)
-    and the node order it is factored in.
+def _projection_factor(ws: _Workspace) -> tuple[_TriFactor, np.ndarray]:
+    """Factor of the per-mode operator [Dy(c0 Dy .) - xi^2 c0] (Neumann
+    ghosts) and the node order it is factored in.
+
+    Grid.dx1 has no Nyquist derivative, so the Nyquist rows trade xi^2 for
+    (2 pi / h)^2, the size of the low vertical eigenvalues, which keeps them
+    definite; linearized runs hold only rounding in that mode.
 
     The wide centered stencil couples node j only to j - 2 and j + 2, so
     the even and the odd nodes form two chains; the wall rows take the even
@@ -293,6 +284,8 @@ def _projection_factor(ws: _Workspace, xi2: np.ndarray) -> tuple[_TriFactor, np.
     g = ws.grid
     c = ws.c_base[0]
     n = g.Ny + 1
+    xi2 = g.xi**2
+    xi2[-1] = (2.0 * math.pi / g.h)**2
     s = 1.0 / (4.0 * g.dyy**2)
     sub = np.zeros((xi2.size, n))
     sup = np.zeros((xi2.size, n))
@@ -305,11 +298,11 @@ def _projection_factor(ws: _Workspace, xi2: np.ndarray) -> tuple[_TriFactor, np.
     return _TriFactor(diag[:, order], sup[:, order], -trapezoid_weights(n, 1.0)[order]), order
 
 
-def _projection_solve(r_hat: np.ndarray, ws: _Workspace, factor=None) -> np.ndarray:
-    """Per-mode base-coefficient solve (ws.proj_factor unless given)."""
+def _projection_solve(r_hat: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Per-mode base-coefficient solve by ws.proj_factor."""
     order = ws.proj_order
     phi = np.empty_like(r_hat)
-    phi[:, order] = (factor or ws.proj_factor).solve(r_hat[:, order])
+    phi[:, order] = ws.proj_factor.solve(r_hat[:, order])
     phi[0] = 0.0
     return phi
 
@@ -429,34 +422,35 @@ def _var_poisson(rhs: np.ndarray, c: np.ndarray, ws: _Workspace, rc: RunConfig,
     """Solve div(c grad phi) = rhs on the k >= 1 modes (mode 0 untouched).
 
     With the base coefficient c = c0 = 1/rho_bar this is one per-mode
-    banded solve.  Otherwise -div(c grad .), symmetric positive semidefinite
-    in the trapezoid inner product (its null space, grad phi = 0, is
-    independent of c and orthogonal to every divergence), is solved by
-    conjugate gradients preconditioned by s (base solve) s with s =
-    sqrt(c0 / c), the base solve's Nyquist rows matched to the operator
-    (ws.pcg_factor).  The exit test is the true residual, recomputed from
-    phi, at or below projection_tol * ref_scale; the fluxes of that
-    evaluation are returned for the velocity update.  Returns (phi,
-    c d1 phi, c d2 phi), the fluxes None on the one-solve path.
+    banded solve by ws.proj_factor (shifted Nyquist rows).  Otherwise
+    -div(c grad .), symmetric positive semidefinite in the trapezoid inner
+    product (its null space, grad phi = 0, is independent of c and
+    orthogonal to every divergence), is solved by conjugate gradients
+    preconditioned by s (base solve) s with s = sqrt(c0 / c), the same
+    factor.  The exit test is the true residual, recomputed from phi, at or
+    below projection_tol * ref_scale.  Returns (phi, c d1 phi, c d2 phi),
+    the fluxes of the last evaluation, for the velocity update.
     """
     g = ws.grid
-    if c is ws.c_base:
-        b_hat = g.rfft(rhs)
-        b_hat[0] = 0.0
-        return g.irfft(_projection_solve(b_hat, ws)), None, None
-    tol = rc.projection_tol * max(ref_scale, 1e-300)
-    fail = f"{what} solve failed to reach tolerance {tol:.3g} in 60 iterations"
-    scale = np.sqrt(ws.c_base / c)
 
     def flux(phi):
         return c * g.dx1(phi), c * g.dy(phi, +1)
+
+    if c is ws.c_base:
+        b_hat = g.rfft(rhs)
+        b_hat[0] = 0.0
+        phi = g.irfft(_projection_solve(b_hat, ws))
+        return (phi, *flux(phi))
+    tol = rc.projection_tol * max(ref_scale, 1e-300)
+    fail = f"{what} solve failed to reach tolerance {tol:.3g} in 60 iterations"
+    scale = np.sqrt(ws.c_base / c)
 
     def minus_div(fx, fy):                     # k >= 1 modes of -div(fx, fy)
         d = g.dx1(fx) + g.dy(fy, -1)
         return np.mean(d, axis=0, keepdims=True) - d
 
     def precond(r):                            # -(s P0^-1 s) r on the k >= 1 modes
-        z = scale * g.irfft(_projection_solve(g.rfft(scale * r), ws, ws.pcg_factor))
+        z = scale * g.irfft(_projection_solve(g.rfft(scale * r), ws))
         return np.mean(z, axis=0, keepdims=True) - z
 
     b = rhs - np.mean(rhs, axis=0, keepdims=True)
@@ -500,13 +494,9 @@ def _project(v1: np.ndarray, v2: np.ndarray, rho_p: np.ndarray, dt: float,
     c = ws.c_base if rc.linearized else 1.0 / (ws.rho_b + rho_p)
     div = g.dx1(v1) + g.dy(v2, -1)
     vscale = max(np.max(np.abs(v1)), np.max(np.abs(v2)), 1e-300)
-    phi, fx, fy = _var_poisson(div / dt, c, ws, rc, vscale / dt, "projection")
-    if fx is None:
-        v1 = v1 - dt * c * g.dx1(phi)
-        v2 = v2 - dt * c * g.dy(phi, +1)
-    else:
-        v1 = v1 - dt * fx
-        v2 = v2 - dt * fy
+    _, fx, fy = _var_poisson(div / dt, c, ws, rc, vscale / dt, "projection")
+    v1 = v1 - dt * fx
+    v2 = v2 - dt * fy
     # k = 0 mode: the only divergence-free horizontal mean of v2 vanishing
     # at the walls is zero
     v2 = v2 - np.mean(v2, axis=0, keepdims=True)
@@ -632,7 +622,7 @@ def step(s: FieldState, rc: RunConfig, p: DensityProfile, config: SlabConfig,
     every explicit substep; dt defaults to the configured policy."""
     ws = _workspace(rc, p, config)
     if dt is None:
-        dt = rc.dt if rc.dt_mode == "fixed" else suggest_dt(s, rc, p, config)
+        dt = rc.dt if rc.dt is not None else suggest_dt(s, rc, p, config)
     if not (dt and dt > 0 and math.isfinite(dt)):
         raise SimulationError(f"cannot step with dt={dt}")
     vmax_old = max(float(np.max(np.abs(s.v1))), float(np.max(np.abs(s.v2))))
@@ -655,7 +645,7 @@ def step(s: FieldState, rc: RunConfig, p: DensityProfile, config: SlabConfig,
     rho_min = float(np.min(ws.rho_b + out.rho_pert))
     if not (math.isfinite(vmax_new) and math.isfinite(rho_min)):
         raise SimulationError(f"non-finite velocity or density at t={out.t:.6g}")
-    if rc.dt_mode == "fixed" and vmax_old > 1e-14 and vmax_new > 10.0 * vmax_old:
+    if rc.dt is not None and vmax_old > 1e-14 and vmax_new > 10.0 * vmax_old:
         raise CflError(
             f"velocity grew by {vmax_new / vmax_old:.1f}x in one step at "
             f"t={out.t:.6g}; fixed dt={dt:g} violates a stability limit")
@@ -707,8 +697,7 @@ def init_state(rc: RunConfig, p: DensityProfile, config: SlabConfig,
         if not rc.linearized:
             st.s2 = None
         elif st.s2 is None:                    # a v1 or a nonlinear run's checkpoint
-            rep = check_admissibility(ws.profile)
-            st.s2 = (-st.rho_pert / ws.d1 if rep.stabilizing else np.zeros(shape))
+            st.s2 = -st.rho_pert / ws.d1 if ws.stabilizing else np.zeros(shape)
         return st
 
     if init.kind == "zero" or init.delta == 0.0:
@@ -775,7 +764,7 @@ def _steps(state: FieldState, rc: RunConfig, p: DensityProfile, config: SlabConf
     """The time loop: step to t_end under the configured dt policy, yielding
     each new state (the last step is clipped to land on t_end)."""
     while state.t < rc.t_end - 1e-14:
-        dt = rc.dt if rc.dt_mode == "fixed" else suggest_dt(state, rc, p, config)
+        dt = rc.dt if rc.dt is not None else suggest_dt(state, rc, p, config)
         state = step(state, rc, p, config, dt=min(dt, rc.t_end - state.t))
         yield state
 
@@ -862,7 +851,10 @@ def read_checkpoint(path: str | Path, rc: RunConfig) -> FieldState:
     """Read a checkpoint of rc's grid.  A v1 file (header ``nsk-ckpt v1``,
     no step index, no s2) restarts at step_index 0 without s2."""
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
     if raw.startswith(CHECKPOINT_HEADER_V1):
         step_index, body, counts = 0, raw[len(CHECKPOINT_HEADER_V1):], (3,)
     elif raw.startswith(CHECKPOINT_HEADER):

@@ -216,6 +216,24 @@ def test_exit_code_growth_without_rt_region(tmp_path):
                  "--set", "profile.rho0=2", "--set", "profile.slope=-1"]) == 2
 
 
+def test_exit_code_missing_profile_file(tmp_path):
+    assert main(["growth", "-o", str(tmp_path / "o"), "--set", "profile.kind=tabulated",
+                 "--set", f"profile.file={tmp_path / 'missing.txt'}"]) == 2
+
+
+def test_exit_code_unparsable_profile_file(tmp_path):
+    prof = _write(tmp_path, "# profile v1\n0.0 1.0\n0.5 abc\n1.0 2.0\n", "prof.txt")
+    assert main(["growth", "-o", str(tmp_path / "o"), "--set", "profile.kind=tabulated",
+                 "--set", f"profile.file={prof}"]) == 2
+
+
+def test_exit_code_missing_checkpoint(tmp_path):
+    assert main(["simulate", "-o", str(tmp_path / "o"), "--set", "profile.n=64",
+                 "--set", "run.nx=32", "--set", "run.ny=32", "--set", "run.t_end=0.04",
+                 "--set", "run.dt=0.02", "--set", "run.init=file",
+                 "--set", f"run.init_file={tmp_path / 'missing.bin'}"]) == 2
+
+
 def test_escape_honours_growth_settings(tmp_path):
     # a long slab puts the dominant mode above k = 1; growth.k_max = 1 must
     # give the same Lambda to escape as to growth

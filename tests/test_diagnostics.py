@@ -55,13 +55,6 @@ def test_potential_energy_sign_flips_at_per_mode_threshold(slab, linear_profile)
         assert sign * potential_energy(w, p, config) > 0.0
 
 
-def test_parseval_consistency(slab):
-    g = Grid(64, 48, slab.L, slab.h)
-    rng = np.random.default_rng(3)
-    f = rng.standard_normal((64, 49))
-    assert g.l2(f) == pytest.approx(g.l2_fourier(f), rel=1e-12)
-
-
 def test_record_zero_state(slab, linear_profile):
     rc = RunConfig(Nx=32, Ny=32, t_end=1.0, dt=0.1, init=Init("zero"))
     s = init_state(rc, linear_profile, slab)

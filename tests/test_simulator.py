@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nskrt.diagnostics
-from nskrt import (CflError, ConfigError, SimulationError, SlabConfig, VacuumError,
-                   compute_growth, compute_kappa_c, random_stabilizing_profile)
+from nskrt import (CflError, ConfigError, DensityProfile, SimulationError, SlabConfig,
+                   VacuumError, compute_growth, compute_kappa_c, make_linear_profile,
+                   random_stabilizing_profile)
 from nskrt.diagnostics import fit_growth, record
+from nskrt.operators import Grid
 from nskrt.simulator import (FieldState, Init, RunConfig, _cn_factor, _pcg,
                              _projection_solve, _TriFactor, _var_poisson, _viscous_half,
                              _workspace, escape_time, init_state, make_state,
@@ -45,6 +47,14 @@ def test_projection_solve_inverts_wide_operator(Ny, slab, linear_profile):
     rhs = g.irfft(r_hat)
     back = g.dx1(c0 * g.dx1(phi)) + g.dy(c0 * g.dy(phi, +1), -1)
     assert np.max(np.abs(back - rhs)) <= 1e-10 * np.max(np.abs(rhs))
+    # Grid.dx1 has no Nyquist derivative: those rows take (2 pi / h)^2 for xi^2
+    rng = np.random.default_rng(Ny)
+    r_nyq = np.zeros_like(r_hat)
+    r_nyq[-1] = rng.standard_normal(Ny + 1) + 1j * rng.standard_normal(Ny + 1)
+    phi_nyq = _projection_solve(r_nyq, ws)[-1]
+    back = (g.dy(c0[0] * g.dy(phi_nyq, +1), -1)
+            - (2.0 * np.pi / g.h)**2 * c0[0] * phi_nyq)
+    assert np.max(np.abs(back - r_nyq[-1])) <= 1e-10 * np.max(np.abs(r_nyq[-1]))
 
 
 @pytest.mark.parametrize("Ny", [32, 33])
@@ -167,6 +177,15 @@ def test_projection_converges_at_strong_contrast(slab, linear_profile):
     resid = g.dx1(fx) + g.dy(fy, -1) - rhs
     resid -= np.mean(resid, axis=0, keepdims=True)
     assert np.max(np.abs(resid)) <= rc.projection_tol * scale
+
+
+def test_direct_projection_returns_its_fluxes(slab, linear_profile):
+    rc = _zero_rc(linearized=True)
+    ws = _workspace(rc, linear_profile, slab)
+    g, c0 = ws.grid, ws.c_base
+    rhs = g.irfft(_random_modes(ws, 7))
+    phi, fx, fy = _var_poisson(rhs, c0, ws, rc, 1.0, "projection")
+    assert np.array_equal(fx, c0 * g.dx1(phi)) and np.array_equal(fy, c0 * g.dy(phi, +1))
 
 
 def test_viscous_solve_converges_at_strong_contrast(slab, linear_profile):
@@ -467,13 +486,13 @@ def test_escape_time_trivial_cases(slab, linear_profile):
     assert res == [(1e-3, None)]
 
 
-@pytest.mark.parametrize("dt_mode", ["fixed", "adaptive"])
-def test_escape_time_matches_run_records(dt_mode, slab, linear_profile, monkeypatch):
+@pytest.mark.parametrize("dt", [pytest.param(0.02, id="fixed"),
+                                pytest.param(None, id="adaptive")])
+def test_escape_time_matches_run_records(dt, slab, linear_profile, monkeypatch):
     # escape_time and run share one time loop: its crossing is the
     # log-interpolated crossing of run's every-step l1_v records
     gr = compute_growth(linear_profile, slab, N=96)
-    rc = RunConfig(Nx=32, Ny=32, t_end=3.0, dt_mode=dt_mode,
-                   dt=0.02 if dt_mode == "fixed" else None, output_every=1,
+    rc = RunConfig(Nx=32, Ny=32, t_end=3.0, dt=dt, output_every=1,
                    init=Init("eigenfunction", delta=1e-3))
     _, series = run(rc, linear_profile, slab, gr=gr)
     eps = 1.3 * series[0].l1_v
@@ -487,6 +506,38 @@ def test_escape_time_matches_run_records(dt_mode, slab, linear_profile, monkeypa
 
     monkeypatch.setattr(nskrt.diagnostics, "record", no_record)
     assert escape_time(rc, linear_profile, slab, [1e-3], eps, gr=gr) == [(1e-3, expected)]
+
+
+def test_records_read_the_run_workspace(slab, monkeypatch):
+    # run builds its grid's workspace before the first record; no record
+    # then builds a Grid, resamples the profile or re-checks admissibility
+    p = make_linear_profile(1.0, 1.0, slab, N=128)      # a cold workspace
+    calls, in_record = [], []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            if in_record:
+                calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def spied_record(*args, **kwargs):
+        in_record.append(True)
+        try:
+            return record(*args, **kwargs)
+        finally:
+            in_record.pop()
+
+    monkeypatch.setattr(Grid, "__init__", spy("Grid", Grid.__init__))
+    monkeypatch.setattr(DensityProfile, "resample", spy("resample", DensityProfile.resample))
+    for mod in (nskrt.profiles, nskrt.simulator, nskrt.diagnostics):
+        if hasattr(mod, "check_admissibility"):
+            monkeypatch.setattr(mod, "check_admissibility",
+                                spy("check_admissibility", mod.check_admissibility))
+    monkeypatch.setattr(nskrt.diagnostics, "record", spied_record)
+    rc = _zero_rc(t_end=0.2, output_every=1, init=Init("random_smooth", delta=1e-3))
+    _, series = run(rc, p, slab)
+    assert len(series) == 5 and calls == []
 
 
 def test_escape_time_rejects_non_eigenfunction_init(slab, linear_profile):
@@ -514,7 +565,7 @@ def test_escape_time_stable_configuration(linear_profile):
 
 
 def test_adaptive_dt_run(slab, linear_profile):
-    rc = RunConfig(Nx=32, Ny=32, t_end=0.5, dt_mode="adaptive",
+    rc = RunConfig(Nx=32, Ny=32, t_end=0.5,
                    init=Init("random_smooth", delta=1e-3), seed=6, output_every=1)
     s = init_state(rc, linear_profile, slab)
     dt = suggest_dt(s, rc, linear_profile, slab)
@@ -526,7 +577,7 @@ def test_adaptive_dt_run(slab, linear_profile):
 
 def test_capillary_cfl_formula(linear_profile):
     config = SlabConfig(g=1.0, mu=0.1, kappa=0.2, L=1.0, h=1.0)
-    rc = RunConfig(Nx=64, Ny=64, t_end=1.0, dt_mode="adaptive", cfl_cap=0.3,
+    rc = RunConfig(Nx=64, Ny=64, t_end=1.0, cfl_cap=0.3,
                    init=Init("zero"))
     s = init_state(rc, linear_profile, config)
     dt = suggest_dt(s, rc, linear_profile, config)
@@ -541,7 +592,7 @@ def test_runconfig_validation():
     with pytest.raises(ConfigError):
         RunConfig(Nx=32, Ny=8, t_end=1.0, dt=0.1)           # Ny too small
     with pytest.raises(ConfigError):
-        RunConfig(Nx=32, Ny=32, t_end=1.0)                  # fixed mode needs dt
+        RunConfig(Nx=32, Ny=32, t_end=1.0, dt=0.0)          # dt must be > 0 or None
     with pytest.raises(ConfigError):
         Init("eigenfunction", delta=-1.0)
     with pytest.raises(ConfigError):
