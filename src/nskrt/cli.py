@@ -469,7 +469,12 @@ def main(argv: list[str] | None = None) -> int:
         spec = parse_spec(args.command, args.config, args.set, args.out)
         criteria = None
         if args.criteria:
-            criteria = [int(tok) for tok in args.criteria.replace(",", " ").split()]
+            from .acceptance import CRITERIA
+
+            tokens = args.criteria.replace(",", " ").split()
+            if not all(tok.isdigit() and int(tok) in CRITERIA for tok in tokens):
+                raise ConfigError(f"--criteria {args.criteria!r}: ids are {sorted(CRITERIA)}")
+            criteria = [int(tok) for tok in tokens]
         return run_command(spec, criteria)
     except ConfigError as exc:
         print(f"nskrt: configuration error: {exc}", file=sys.stderr)

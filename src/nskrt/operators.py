@@ -17,7 +17,9 @@ Three families of helpers live here:
 * 2-D grid calculus on the Fourier x uniform-vertical simulation grid:
   spectral x1 derivatives, ghost-cell vertical derivatives with even/odd
   wall parity or one-sided wall rows (``dy_onesided``, which also serves
-  1-D columns), the 2/3 dealias mask, and trapezoid-x-spectral quadrature.
+  1-D columns), the 2/3 dealias mask, horizontal means, and
+  trapezoid-x-spectral quadrature; ``FourierGrid`` is the same grid on
+  the rfft coefficients (axis 0 then holds the Nx/2 + 1 modes).
 
 Field arrays are laid out (Nx, Ny+1): axis 0 is the periodic horizontal
 direction, axis 1 the wall-bounded vertical direction.
@@ -38,6 +40,7 @@ __all__ = [
     "cubic_spline",
     "dy_onesided",
     "Grid",
+    "FourierGrid",
 ]
 
 
@@ -178,6 +181,8 @@ class Grid:
         # rfft wavenumbers: mode m has horizontal wavenumber m / L
         m = np.arange(Nx // 2 + 1)
         self.xi = (m / L).reshape(-1, 1)
+        self.ixi = 1j * self.xi
+        self.ixi[-1] = 0.0  # Nyquist derivative is not representable
         self.mask = (m <= Nx // 3).reshape(-1, 1)  # 2/3 rule
         self.wy = trapezoid_weights(Ny + 1, self.dyy)
 
@@ -190,10 +195,7 @@ class Grid:
         return np.fft.irfft(fh, n=self.Nx, axis=0)
 
     def dx1(self, f: np.ndarray) -> np.ndarray:
-        fh = self.rfft(f)
-        fh *= 1j * self.xi
-        fh[-1] = 0.0  # Nyquist derivative is not representable
-        return self.irfft(fh)
+        return self.irfft(self.rfft(f) * self.ixi)
 
     def dealias_field(self, f: np.ndarray) -> np.ndarray:
         return self.irfft(self.rfft(f) * self.mask)
@@ -220,6 +222,14 @@ class Grid:
         out /= self.dyy**2
         return out
 
+    # -- horizontal means: a (1, Ny+1) row, and f plus an x1-independent m
+
+    def mean_x(self, f: np.ndarray) -> np.ndarray:
+        return np.mean(f, axis=0, keepdims=True)
+
+    def add_mean_x(self, f: np.ndarray, m: np.ndarray) -> np.ndarray:
+        return f + m
+
     # -- quadrature and norms --------------------------------------------
 
     def integrate(self, f: np.ndarray) -> float:
@@ -228,3 +238,22 @@ class Grid:
 
     def l2(self, *fields: np.ndarray) -> float:
         return float(np.sqrt(sum(self.integrate(f * f) for f in fields)))
+
+
+class FourierGrid(Grid):
+    """The same grid on rfft coefficients: identity transforms make dx1 and
+    dealias_field products, the vertical stencils serve complex fields as
+    they are, and the means act on mode 0 (Nx times the mean).  Quadrature
+    and norms stay physical-space operations."""
+
+    def rfft(self, f: np.ndarray) -> np.ndarray:
+        return f
+
+    def irfft(self, fh: np.ndarray) -> np.ndarray:
+        return fh
+
+    def mean_x(self, fh: np.ndarray) -> np.ndarray:
+        return fh[:1] / self.Nx
+
+    def add_mean_x(self, fh: np.ndarray, m: np.ndarray) -> np.ndarray:
+        return np.concatenate([fh[:1] + self.Nx * m, fh[1:]])

@@ -41,7 +41,11 @@ rounding level.  The convergence rate depends on the density contrast
 only through the spread of rho/rho_bar, which carries the solves to
 rho/rho_bar in 0.3-1.7.  Linearized runs keep rho = rho_bar in both
 operators, and there each is one direct banded solve; both paths use one
-projection factor, its Nyquist rows shifted.  Each substep first
+projection factor, its Nyquist rows shifted.  Their coefficients depend
+on y2 alone, so the Fourier modes evolve independently: a linearized step
+runs the same stages on the rfft coefficients (a FourierGrid view of the
+workspace), 8 transforms a step where the physical path makes 70, and
+checks the physical state.  Each substep first
 predicts the pressure from the instantaneous force balance (the same
 elliptic solve applied to div of the acceleration), so the corrector only
 removes an O(dt^2) divergence and the projection's kinetic-energy
@@ -59,6 +63,7 @@ alongside the advective CFL and a buoyancy guard.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -68,8 +73,8 @@ import numpy as np
 from scipy.linalg.lapack import zpttrf, zpttrs
 
 from .errors import CflError, ConfigError, SimulationError, VacuumError
-from .operators import (Grid, cubic_spline, dy_onesided, running_trapezoid,
-                        trapezoid_weights)
+from .operators import (FourierGrid, Grid, cubic_spline, dy_onesided,
+                        running_trapezoid, trapezoid_weights)
 from .profiles import DensityProfile, SlabConfig, check_admissibility
 
 __all__ = [
@@ -161,7 +166,8 @@ class FieldState:
 
 class _Workspace:
     """Grid, equilibrium columns and stabilizing flag, cached banded
-    factorizations and the conjugate-gradient iteration counts of the steps."""
+    factorizations and the conjugate-gradient iteration counts of the steps;
+    ``fourier`` is a view sharing all of them on a FourierGrid."""
 
     def __init__(self, Nx: int, Ny: int, p: DensityProfile, config: SlabConfig):
         self.grid = Grid(Nx, Ny, config.L, config.h)
@@ -176,6 +182,9 @@ class _Workspace:
         self._cn_factors: dict[float, "_TriFactor"] = {}
         self.iterations = {"projection": 0, "viscous": 0}  # of the current step
         self.per_step: list[dict[str, int]] = []       # one entry per step taken
+        # the same factors and caches on the rfft coefficients (linearized steps)
+        self.fourier = copy.copy(self)
+        self.fourier.grid = FourierGrid(Nx, Ny, config.L, config.h)
 
 
 def _workspace(rc: RunConfig, p: DensityProfile, config: SlabConfig) -> _Workspace:
@@ -437,9 +446,7 @@ def _var_poisson(rhs: np.ndarray, c: np.ndarray, ws: _Workspace, rc: RunConfig,
         return c * g.dx1(phi), c * g.dy(phi, +1)
 
     if c is ws.c_base:
-        b_hat = g.rfft(rhs)
-        b_hat[0] = 0.0
-        phi = g.irfft(_projection_solve(b_hat, ws))
+        phi = g.irfft(_projection_solve(g.rfft(rhs), ws))
         return (phi, *flux(phi))
     tol = rc.projection_tol * max(ref_scale, 1e-300)
     fail = f"{what} solve failed to reach tolerance {tol:.3g} in 60 iterations"
@@ -482,9 +489,8 @@ def _predict_pressure(a1: np.ndarray, a2: np.ndarray, c: np.ndarray,
     rhs = g.dx1(a1) + g.dy(a2, -1)
     scale = float(max(np.max(np.abs(rhs)), 1e-300))
     beta = _var_poisson(rhs, c, ws, rc, scale, "pressure prediction")[0]
-    a2bar = np.mean(a2, axis=0)
-    beta0 = running_trapezoid(a2bar / ws.c_base[0], g.y)
-    return beta + beta0.reshape(1, -1)
+    beta0 = running_trapezoid(g.mean_x(a2)[0] / ws.c_base[0], g.y)
+    return g.add_mean_x(beta, beta0)
 
 
 def _project(v1: np.ndarray, v2: np.ndarray, rho_p: np.ndarray, dt: float,
@@ -499,7 +505,7 @@ def _project(v1: np.ndarray, v2: np.ndarray, rho_p: np.ndarray, dt: float,
     v2 = v2 - dt * fy
     # k = 0 mode: the only divergence-free horizontal mean of v2 vanishing
     # at the walls is zero
-    v2 = v2 - np.mean(v2, axis=0, keepdims=True)
+    v2 = g.add_mean_x(v2, -g.mean_x(v2))
     v2[:, 0] = 0.0
     v2[:, -1] = 0.0
     return v1, v2
@@ -581,7 +587,7 @@ def _viscous_half(s: FieldState, half: float, ws: _Workspace, rc: RunConfig,
         # the variable-coefficient correction can leave a tiny horizontal
         # mean in v2; the divergence-free subspace has none, and the
         # transport term would convert it into a mass drift
-        v2 = v2 - np.mean(v2, axis=0, keepdims=True)
+        v2 = g.add_mean_x(v2, -g.mean_x(v2))
         v2[:, 0] = 0.0
         v2[:, -1] = 0.0
     return FieldState(s.t, s.rho_pert, v1, v2, s.step_index, s.s2)
@@ -614,6 +620,32 @@ def suggest_dt(s: FieldState, rc: RunConfig, p: DensityProfile, config: SlabConf
     return min(cands)
 
 
+def _imex(s: FieldState, dt: float, ws: _Workspace, rc: RunConfig,
+          config: SlabConfig) -> FieldState:
+    """The stages of one IMEX step on ws's grid (physical or Fourier),
+    each intermediate released once the next stage has read it."""
+    sv = _viscous_half(s, 0.5 * dt, ws, rc, project=False)
+    del s
+    rhs = _explicit_rhs(sv, ws, rc, config)
+    c_sv = ws.c_base if rc.linearized else 1.0 / (ws.rho_b + sv.rho_pert)
+    beta = _predict_pressure(rhs[1], rhs[2], c_sv, ws, rc)
+    grad_beta = (ws.grid.dx1(beta), ws.grid.dy(beta, +1))
+    del beta, c_sv
+    u = _explicit_substep(sv, dt, ws, rc, config, grad_beta, rhs=rhs)
+    del rhs
+    u = _combine(0.75, sv, 0.25, _explicit_substep(u, dt, ws, rc, config, grad_beta))
+    u = _combine(1.0 / 3.0, sv, 2.0 / 3.0,
+                 _explicit_substep(u, dt, ws, rc, config, grad_beta))
+    del sv, grad_beta
+    return _viscous_half(u, 0.5 * dt, ws, rc, project=True)
+
+
+def _fields(s: FieldState, transform) -> FieldState:
+    """s with transform (Grid.rfft or Grid.irfft) applied to each field."""
+    return FieldState(s.t, transform(s.rho_pert), transform(s.v1), transform(s.v2),
+                      s.step_index, None if s.s2 is None else transform(s.s2))
+
+
 def step(s: FieldState, rc: RunConfig, p: DensityProfile, config: SlabConfig,
          dt: float | None = None) -> FieldState:
     """Advance one IMEX step: Strang-split Crank-Nicolson viscous halves
@@ -627,17 +659,11 @@ def step(s: FieldState, rc: RunConfig, p: DensityProfile, config: SlabConfig,
         raise SimulationError(f"cannot step with dt={dt}")
     vmax_old = max(float(np.max(np.abs(s.v1))), float(np.max(np.abs(s.v2))))
     ws.iterations = {"projection": 0, "viscous": 0}
-
-    sv = _viscous_half(s, 0.5 * dt, ws, rc, project=False)
-    rhs0 = _explicit_rhs(sv, ws, rc, config)
-    c_sv = ws.c_base if rc.linearized else 1.0 / (ws.rho_b + sv.rho_pert)
-    beta = _predict_pressure(rhs0[1], rhs0[2], c_sv, ws, rc)
-    grad_beta = (ws.grid.dx1(beta), ws.grid.dy(beta, +1))
-    u1 = _explicit_substep(sv, dt, ws, rc, config, grad_beta, rhs=rhs0)
-    u2 = _combine(0.75, sv, 0.25, _explicit_substep(u1, dt, ws, rc, config, grad_beta))
-    u3 = _combine(1.0 / 3.0, sv, 2.0 / 3.0,
-                  _explicit_substep(u2, dt, ws, rc, config, grad_beta))
-    out = _viscous_half(u3, 0.5 * dt, ws, rc, project=True)
+    if rc.linearized:    # the modes decouple: step the rfft coefficients
+        out = _fields(_imex(_fields(s, ws.grid.rfft), dt, ws.fourier, rc, config),
+                      ws.grid.irfft)
+    else:
+        out = _imex(s, dt, ws, rc, config)
     out.t = s.t + dt
     out.step_index = s.step_index + 1
 

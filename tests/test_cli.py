@@ -307,3 +307,19 @@ def test_verify_summary_with_numpy_bool(tmp_path, monkeypatch):
     with open(tmp_path / "o" / "summary.json") as fh:
         summary = json.load(fh)
     assert summary["results"]["criteria"][0]["passed"] is True
+
+
+def _assert_bad_criteria(tmp_path, capsys, criteria):
+    assert main(["verify", "-o", str(tmp_path / "o"), "--criteria", criteria]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("criteria", ["abc", "2,x", "2.5"])
+def test_verify_rejects_non_integer_criteria(tmp_path, capsys, criteria):
+    _assert_bad_criteria(tmp_path, capsys, criteria)
+
+
+@pytest.mark.parametrize("criteria", ["11", "0,2", "-1"])
+def test_verify_rejects_unknown_criteria(tmp_path, capsys, criteria):
+    _assert_bad_criteria(tmp_path, capsys, criteria)

@@ -4,7 +4,7 @@ from hypothesis import example, given, strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
-from nskrt.operators import Grid, cubic_spline, running_trapezoid
+from nskrt.operators import FourierGrid, Grid, cubic_spline, dy_onesided, running_trapezoid
 
 
 def _padded(f, parity):
@@ -56,3 +56,43 @@ def test_cubic_spline_matches_scipy_not_a_knot(grid, log_scale):
     exact = np.polyval(c, us)
     scale = np.max(np.abs(c))
     assert np.max(np.abs(cubic_spline(x, np.polyval(c, u), xs) - exact)) <= 1e-12 * scale
+
+
+@st.composite
+def twin_grids(draw):
+    """(Grid, FourierGrid, f, h): two random real fields with mode-0 and
+    Nyquist content on one geometry, Ny even or odd."""
+    Nx = draw(st.sampled_from([4, 8, 16, 32]))
+    Ny = draw(st.integers(16, 41))
+    L, h = draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0**draw(st.floats(-6.0, 6.0))
+
+    def field():
+        nyquist = (-1.0)**np.arange(Nx)[:, None] * rng.standard_normal(Ny + 1)
+        return scale * (rng.standard_normal((Nx, Ny + 1)) + rng.standard_normal(Ny + 1)
+                        + nyquist)
+    return Grid(Nx, Ny, L, h), FourierGrid(Nx, Ny, L, h), field(), field()
+
+
+@given(twin_grids())
+def test_fourier_grid_is_grid_on_rfft_coefficients(twins):
+    g, fg, f, h = twins
+    fh, hh = g.rfft(f), g.rfft(h)
+    pairs = [(g.dx1(f), fg.dx1(fh)),
+             (g.dealias_field(f), fg.dealias_field(fh)),
+             (dy_onesided(f, g.dyy), dy_onesided(fh, fg.dyy)),
+             (g.add_mean_x(f, g.mean_x(h)), fg.add_mean_x(fh, fg.mean_x(hh))),
+             (g.add_mean_x(f, -g.mean_x(f)), fg.add_mean_x(fh, -fg.mean_x(fh)))]
+    for parity in (+1, -1):
+        pairs += [(g.dy(f, parity), fg.dy(fh, parity)),
+                  (g.d2y(f, parity), fg.d2y(fh, parity))]
+    for physical, fourier in pairs:
+        expected = g.rfft(physical)
+        assert fourier.shape == expected.shape
+        tol = 1e-13 * max(np.max(np.abs(expected)), np.max(np.abs(fh)))
+        assert np.max(np.abs(fourier - expected)) <= tol
+    # the mean itself: mode 0 over Nx
+    assert np.max(np.abs(fg.mean_x(fh) - g.mean_x(f))) <= 1e-13 * np.max(np.abs(f))
+    # the transforms are identities: no copy
+    assert fg.rfft(fh) is fh and fg.irfft(fh) is fh

@@ -11,11 +11,11 @@ from nskrt import (CflError, ConfigError, DensityProfile, SimulationError, SlabC
                    random_stabilizing_profile)
 from nskrt.diagnostics import fit_growth, record
 from nskrt.operators import Grid
-from nskrt.simulator import (FieldState, Init, RunConfig, _cn_factor, _pcg,
-                             _projection_solve, _TriFactor, _var_poisson, _viscous_half,
-                             _workspace, escape_time, init_state, make_state,
-                             read_checkpoint, run, solver_iterations, step, suggest_dt,
-                             write_checkpoint)
+from nskrt.simulator import (FieldState, Init, RunConfig, _cn_factor, _fields, _imex,
+                             _pcg, _projection_solve, _TriFactor, _var_poisson,
+                             _viscous_half, _workspace, escape_time, init_state,
+                             make_state, read_checkpoint, run, solver_iterations, step,
+                             suggest_dt, write_checkpoint)
 
 from conftest import REFERENCE_KAPPA_C
 
@@ -250,6 +250,42 @@ def test_zero_state_is_exact_fixed_point_on_random_profiles(seed, kappa, lineari
         s = step(s, rc, p, config)
     for name in ("rho_pert", "v1", "v2") + (("s2",) if linearized else ()):
         assert np.all(getattr(s, name) == 0.0), name
+
+
+@pytest.mark.parametrize("Ny", [32, 33])
+def test_linearized_step_on_rfft_coefficients_matches_physical(Ny):
+    # the modes decouple in linearized runs: one step on the physical
+    # workspace and one on its Fourier view agree to rounding, also with
+    # mode-0 and Nyquist content in rho_pert and a random s2
+    config = SlabConfig(g=1.0, mu=0.1, kappa=0.5 * REFERENCE_KAPPA_C, L=1.0, h=1.0)
+    p = make_linear_profile(1.0, 1.0, config, N=128)
+    rc = _zero_rc(Ny=Ny, dt=0.02, linearized=True, init=Init("random_smooth", delta=1e-3))
+    s = init_state(rc, p, config)
+    rng = np.random.default_rng(Ny)
+    nyquist = (-1.0)**np.arange(rc.Nx)[:, None] * rng.standard_normal(Ny + 1)
+    s.rho_pert = s.rho_pert + 1e-4 * (rng.standard_normal(s.rho_pert.shape)
+                                      + rng.standard_normal(Ny + 1) + nyquist)
+    s.s2 = 1e-3 * rng.standard_normal(s.rho_pert.shape)
+    ws = _workspace(rc, p, config)
+    physical = _imex(s, rc.dt, ws, rc, config)
+    fourier = _fields(_imex(_fields(s, ws.grid.rfft), rc.dt, ws.fourier, rc, config),
+                      ws.grid.irfft)
+    for name in ("rho_pert", "v1", "v2", "s2"):
+        a, b = getattr(physical, name), getattr(fourier, name)
+        assert np.max(np.abs(b - a)) <= 1e-12 * np.max(np.abs(a)), name
+
+
+def test_linearized_step_makes_eight_transforms(slab, linear_profile, monkeypatch):
+    rc = _zero_rc(linearized=True, init=Init("random_smooth", delta=1e-3))
+    s = init_state(rc, linear_profile, slab)
+    calls = []
+    for name in ("rfft", "irfft"):
+        def counted(self, f, _name=name, _original=getattr(Grid, name)):
+            calls.append(_name)
+            return _original(self, f)
+        monkeypatch.setattr(Grid, name, counted)
+    step(s, rc, linear_profile, slab)
+    assert (calls.count("rfft"), calls.count("irfft")) == (4, 4)
 
 
 def test_delta_zero_init_is_zero_state(slab, linear_profile):
