@@ -195,7 +195,9 @@ class Grid:
         return np.fft.irfft(fh, n=self.Nx, axis=0)
 
     def dx1(self, f: np.ndarray) -> np.ndarray:
-        return self.irfft(self.rfft(f) * self.ixi)
+        fh = self.rfft(f)
+        fh *= self.ixi
+        return self.irfft(fh)
 
     def dealias_field(self, f: np.ndarray) -> np.ndarray:
         return self.irfft(self.rfft(f) * self.mask)
@@ -251,6 +253,9 @@ class FourierGrid(Grid):
 
     def irfft(self, fh: np.ndarray) -> np.ndarray:
         return fh
+
+    def dx1(self, f: np.ndarray) -> np.ndarray:   # Grid.dx1 would multiply f in place
+        return f * self.ixi
 
     def mean_x(self, fh: np.ndarray) -> np.ndarray:
         return fh[:1] / self.Nx
