@@ -1,14 +1,15 @@
 """Acceptance suite: the ten go/no-go checks for this laboratory.
 
 Each criterion is a self-contained function with its tolerances pinned as
-constants; ``run_acceptance`` executes any subset and reports one result
-per criterion.  The CLI ``verify`` command and tests/test_acceptance.py
+constants; ``run_acceptance`` yields each selected criterion's result as
+it finishes.  The CLI ``verify`` command and tests/test_acceptance.py
 both drive this module, printing one pass/fail line per criterion.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,9 +255,9 @@ CRITERIA = {
 }
 
 
-def run_acceptance(criteria=None) -> list[CriterionResult]:
-    """Run the selected criteria (all by default), slowest tolerances pinned."""
-    out = []
+def run_acceptance(criteria=None) -> Iterator[CriterionResult]:
+    """Run the selected criteria (all by default), slowest tolerances pinned,
+    yielding each result as soon as its criterion finishes."""
     for cid in sorted(criteria or CRITERIA):
         name, fn, time_bound = CRITERIA[cid]
         t0 = time.perf_counter()
@@ -268,6 +269,5 @@ def run_acceptance(criteria=None) -> list[CriterionResult]:
         if time_bound is not None and elapsed >= time_bound:
             passed = False
             details["runtime_exceeded_s"] = elapsed
-        out.append(CriterionResult(cid=cid, name=name, passed=bool(passed),
-                                   runtime_s=elapsed, details=details))
-    return out
+        yield CriterionResult(cid=cid, name=name, passed=bool(passed),
+                              runtime_s=elapsed, details=details)

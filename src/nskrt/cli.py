@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -411,15 +412,15 @@ def _cmd_sweep(spec: ExperimentSpec, summary: dict) -> None:
 def _cmd_verify(spec: ExperimentSpec, summary: dict, criteria=None) -> int:
     from .acceptance import run_acceptance
 
-    results = run_acceptance(criteria)
-    failures = 0
-    for res in results:
+    results, failures = [], 0
+    for res in run_acceptance(criteria):      # each line as its criterion ends
+        results.append(res)
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] criterion {res.cid}: {res.name} "
-              f"({res.runtime_s:.1f} s)")
+              f"({res.runtime_s:.1f} s)", flush=True)
         if not res.passed:
             failures += 1
-            print(f"       details: {res.details}")
+            print(f"       details: {res.details}", flush=True)
     summary["results"] = {
         "criteria": [{"cid": r.cid, "name": r.name, "passed": r.passed,
                       "runtime_s": r.runtime_s, "details": r.details}
@@ -433,6 +434,7 @@ def run_command(spec: ExperimentSpec, criteria=None) -> int:
     """Execute a resolved spec; writes artifacts into spec.outdir."""
     spec.outdir.mkdir(parents=True, exist_ok=True)
     summary = _summary_skeleton(spec)
+    t0 = time.perf_counter()
     status = 0
     if spec.command == "threshold":
         _cmd_threshold(spec, summary)
@@ -448,6 +450,10 @@ def run_command(spec: ExperimentSpec, criteria=None) -> int:
         status = _cmd_verify(spec, summary, criteria)
     else:  # pragma: no cover - parse_spec already validates
         raise ConfigError(f"unknown command {spec.command!r}")
+    if spec.command in ("growth", "simulate", "escape"):
+        # the solver commands' wall time; a threshold summary stays
+        # byte-for-byte reproducible
+        summary["wall_s"] = time.perf_counter() - t0
     _write_summary(summary, spec.outdir)
     return status
 

@@ -53,6 +53,12 @@ alpha(s) in the Newton iteration starts from phi_lo between the tangent
 value and alpha(s_lo).  Each shift sits a tenth of the way up the bracket
 (halfway after a failed factorization), and a solve stops once its vector
 changes by at most 1e-8 or its bracket is at the rounding of the forms.
+The factorizations and solves are LAPACK's dpbtrf / dpbtrs, called
+directly: a positive info is a failed shift, and the pencil is checked for
+finite entries first, since dpbtrf reports success on NaN input.  What
+does not depend on s (the bound, the weights of the difference sums) is
+built once per mode's forms, and the Newton tangent at a maximizer reads
+the sums alpha formed for it.
 
 The unstable pressure amplitude follows from the horizontal momentum
 balance: with W = phi'/xi,
@@ -64,11 +70,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import ConfigError, EigensolverError
 from .operators import (band_matvec, dy_onesided, lumped_mass, second_difference_form,
@@ -109,6 +115,28 @@ class ModeForms:
     g: float
     kappa: float
 
+    @cached_property
+    def _sum_parts(self) -> _SumParts:
+        return _SumParts(self)
+
+
+class _SumParts:
+    """The s-independent parts of alpha, built once from one ModeForms' own
+    columns (a replaced copy builds its own): the interior weights and
+    midpoint coefficients of the difference sums and the upper end
+    g max(rho_bar'+/rho_bar).  ``last`` holds the latest vector's bytes and
+    sums, so the Newton tangent at alpha's maximizer reads the sums alpha
+    has just formed."""
+
+    def __init__(self, forms: ModeForms):
+        rho, d1 = forms.rho, forms.d1
+        c2 = d1**2
+        self.dy = float(forms.nodes[1] - forms.nodes[0])
+        self.rho, self.d1, self.c2 = rho[1:-1], d1[1:-1], c2[1:-1]
+        self.rho_m, self.c2_m = 0.5 * (rho[:-1] + rho[1:]), 0.5 * (c2[:-1] + c2[1:])
+        self.bound = forms.g * float(np.max(np.maximum(self.d1, 0.0) / self.rho))
+        self.last = (None, None)
+
 
 @lru_cache(maxsize=8)
 def _profile_parts(pN: DensityProfile) -> tuple[np.ndarray, ...]:
@@ -141,29 +169,38 @@ def _quotient_sums(phi: np.ndarray, forms: ModeForms) -> tuple[float, float, flo
     assembled-form eigenvalue whose backward error scales with the huge
     top of the discrete biharmonic spectrum.
     """
-    dy = float(forms.nodes[1] - forms.nodes[0])
+    parts, key = forms._sum_parts, phi.tobytes()
+    if parts.last[0] == key:
+        return parts.last[1]
+    dy = parts.dy
     xi = forms.xi
-    dphi = np.diff(phi) / dy                         # interval values
+    phi2 = phi[1:-1] ** 2
+    dphi2 = (np.diff(phi) / dy) ** 2                # interval values
     d2phi = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dy**2
 
     def mass(c):
-        return dy * float(np.sum(c[1:-1] * phi[1:-1] ** 2))
+        return dy * float((c * phi2).sum())
 
-    def stiff(c):
-        cm = 0.5 * (c[:-1] + c[1:])
-        return dy * float(np.sum(cm * dphi**2))
+    def stiff(cm):
+        return dy * float((cm * dphi2).sum())
 
-    ones = np.ones_like(forms.rho)
-    m_val = mass(forms.rho) + stiff(forms.rho) / xi**2
-    v_val = 2.0 * stiff(ones) + dy * float(np.sum(d2phi**2)) / xi**2 + xi**2 * mass(ones)
-    c2 = forms.d1**2
-    e_val = forms.g * mass(forms.d1) - forms.kappa * (stiff(c2) + xi**2 * mass(c2))
+    m_val = mass(parts.rho) + stiff(parts.rho_m) / xi**2
+    v_val = (2.0 * (dy * float(dphi2.sum())) + dy * float((d2phi**2).sum()) / xi**2
+             + xi**2 * (dy * float(phi2.sum())))
+    e_val = forms.g * mass(parts.d1) - forms.kappa * (stiff(parts.c2_m) + xi**2 * mass(parts.c2))
+    parts.last = (key, (e_val, v_val, m_val))
     return e_val, v_val, m_val
 
 
 # a solve still open after this many factorizations has stalled: a success
 # cuts the bracket tenfold, a failure after a failure halves it
 _MAX_FACTORIZATIONS = 60
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a real vector (the same dot and root), without its
+    dispatch."""
+    return math.sqrt(x.dot(x))
 
 
 def alpha(s: float, forms: ModeForms, phi: np.ndarray | None = None,
@@ -180,11 +217,11 @@ def alpha(s: float, forms: ModeForms, phi: np.ndarray | None = None,
     if s < 0:
         raise ValueError("penalty weight s must be >= 0")
     A, M = forms.Epot - s * forms.mu * forms.V, forms.M
-    bound = forms.g * float(np.max(np.maximum(forms.d1[1:-1], 0.0) / forms.rho[1:-1]))
+    bound = forms._sum_parts.bound
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(M)) and math.isfinite(bound)):
         raise EigensolverError(f"alpha({s}): the pencil or its bound has non-finite entries")
     x = (np.sin(np.pi * forms.nodes / forms.nodes[-1]) if phi is None else phi)[1:-1]
-    x = x / np.linalg.norm(x)
+    x = x / _norm(x)
     Mx = band_matvec(M, x)
     lo = float(x @ band_matvec(A, x) / (x @ Mx))
     # the rounding of an assembled quotient at x: it widens the caller's hi,
@@ -196,15 +233,17 @@ def alpha(s: float, forms: ModeForms, phi: np.ndarray | None = None,
     step = 0.1
     for factorizations in range(1, _MAX_FACTORIZATIONS + 1):
         sigma = lo + step * (hi - lo)
-        try:
-            chol = scipy.linalg.cholesky_banded(sigma * M - A, check_finite=False)
-        except scipy.linalg.LinAlgError:
+        chol, info = dpbtrf(sigma * M - A, overwrite_ab=1)
+        if info == 0:
+            y, info = dpbtrs(chol, Mx, overwrite_b=1)
+        if info < 0:
+            raise EigensolverError(f"alpha({s}): LAPACK rejected argument {-info}")
+        if info > 0:
             lo, step = sigma, 0.5                    # sigma M - A is indefinite
             continue
         hi, step = sigma, 0.1
-        y = scipy.linalg.cho_solve_banded((chol, False), Mx, check_finite=False)
-        y *= math.copysign(1.0 / np.linalg.norm(y), y @ x)
-        change, x, Mx = float(np.linalg.norm(y - x)), y, band_matvec(M, y)
+        y *= math.copysign(1.0 / _norm(y), y @ x)
+        change, x, Mx = _norm(y - x), y, band_matvec(M, y)
         lo = max(lo, float(x @ band_matvec(A, x) / (x @ Mx)))
         if change <= 1e-8 or hi - lo <= slack:
             break

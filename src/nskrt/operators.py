@@ -61,7 +61,9 @@ def lumped_mass(coef: np.ndarray, dy: float) -> np.ndarray:
     weights (all equal to dy) survive.
     """
     c = np.asarray(coef, dtype=float)
-    return np.pad(dy * c[None, 1:-1], ((2, 0), (0, 0)))
+    F = np.zeros((3, c.size - 2))
+    F[2] = dy * c[1:-1]
+    return F
 
 
 def stiffness(coef: np.ndarray, dy: float) -> np.ndarray:

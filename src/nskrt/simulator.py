@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import copy
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -427,7 +428,7 @@ def _dot(f: np.ndarray, h: np.ndarray) -> float:
 
 
 def _var_poisson(rhs: np.ndarray, c: np.ndarray, ws: _Workspace, rc: RunConfig,
-                 ref_scale: float, what: str):
+                 ref_scale: float | Callable[[], float], what: str):
     """Solve div(c grad phi) = rhs on the k >= 1 modes (mode 0 untouched).
 
     With the base coefficient c = c0 = 1/rho_bar this is one per-mode
@@ -437,8 +438,10 @@ def _var_poisson(rhs: np.ndarray, c: np.ndarray, ws: _Workspace, rc: RunConfig,
     orthogonal to every divergence), is solved by conjugate gradients
     preconditioned by s (base solve) s with s = sqrt(c0 / c), the same
     factor.  The exit test is the true residual, recomputed from phi, at or
-    below projection_tol * ref_scale.  Returns (phi, c d1 phi, c d2 phi),
-    the fluxes of the last evaluation, for the velocity update.
+    below projection_tol * ref_scale; a callable ref_scale is evaluated on
+    this path only, as the direct solve has no use for it.  Returns
+    (phi, c d1 phi, c d2 phi), the fluxes of the last evaluation, for the
+    velocity update.
     """
     g = ws.grid
 
@@ -448,7 +451,7 @@ def _var_poisson(rhs: np.ndarray, c: np.ndarray, ws: _Workspace, rc: RunConfig,
     if c is ws.c_base:
         phi = g.irfft(_projection_solve(g.rfft(rhs), ws))
         return (phi, *flux(phi))
-    tol = rc.projection_tol * max(ref_scale, 1e-300)
+    tol = rc.projection_tol * max(ref_scale() if callable(ref_scale) else ref_scale, 1e-300)
     fail = f"{what} solve failed to reach tolerance {tol:.3g} in 60 iterations"
     scale = np.sqrt(ws.c_base / c)
 
@@ -487,8 +490,8 @@ def _predict_pressure(a1: np.ndarray, a2: np.ndarray, c: np.ndarray,
     """
     g = ws.grid
     rhs = g.dx1(a1) + g.dy(a2, -1)
-    scale = float(max(np.max(np.abs(rhs)), 1e-300))
-    beta = _var_poisson(rhs, c, ws, rc, scale, "pressure prediction")[0]
+    beta = _var_poisson(rhs, c, ws, rc, lambda: float(max(np.max(np.abs(rhs)), 1e-300)),
+                        "pressure prediction")[0]
     beta0 = running_trapezoid(g.mean_x(a2)[0] / ws.c_base[0], g.y)
     return g.add_mean_x(beta, beta0)
 
@@ -499,8 +502,9 @@ def _project(v1: np.ndarray, v2: np.ndarray, rho_p: np.ndarray, dt: float,
     g = ws.grid
     c = ws.c_base if rc.linearized else 1.0 / (ws.rho_b + rho_p)
     div = g.dx1(v1) + g.dy(v2, -1)
-    vscale = max(np.max(np.abs(v1)), np.max(np.abs(v2)), 1e-300)
-    _, fx, fy = _var_poisson(div / dt, c, ws, rc, vscale / dt, "projection")
+    _, fx, fy = _var_poisson(div / dt, c, ws, rc,
+                             lambda: max(np.max(np.abs(v1)), np.max(np.abs(v2)), 1e-300) / dt,
+                             "projection")
     v1 = v1 - dt * fx
     v2 = v2 - dt * fy
     # k = 0 mode: the only divergence-free horizontal mean of v2 vanishing

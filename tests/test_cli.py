@@ -323,3 +323,33 @@ def test_verify_rejects_non_integer_criteria(tmp_path, capsys, criteria):
 @pytest.mark.parametrize("criteria", ["11", "0,2", "-1"])
 def test_verify_rejects_unknown_criteria(tmp_path, capsys, criteria):
     _assert_bad_criteria(tmp_path, capsys, criteria)
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("growth", []),
+    ("simulate", ["--set", "run.t_end=0.04"]),
+    ("escape", ["--set", "run.t_end=40", "--set", "escape.deltas=3e-3",
+                "--set", "escape.eps=0.05"]),
+])
+def test_solver_summaries_carry_wall_time(tmp_path, command, extra):
+    sets = ["--set", "profile.n=64", "--set", "run.nx=16", "--set", "run.ny=16",
+            "--set", "run.dt=0.02"] if command != "growth" else ["--set", "profile.n=64"]
+    assert main([command, "-o", str(tmp_path / "o")] + sets + extra) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert 0.0 < summary["wall_s"] < 600.0
+
+
+def test_verify_prints_each_criterion_as_it_finishes(tmp_path, monkeypatch, capsys):
+    from nskrt import acceptance
+
+    def second():
+        # the first criterion's line is on stdout before the second one runs
+        assert "[PASS] criterion 1: first" in capsys.readouterr().out
+        return True, {}
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {1: ("first", lambda: (True, {}), None),
+                                                 2: ("second", second, None)})
+    assert main(["verify", "-o", str(tmp_path / "o"), "--criteria", "1,2"]) == 0
+    assert "[PASS] criterion 2: second" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert [c["passed"] for c in summary["results"]["criteria"]] == [True, True]

@@ -4,7 +4,8 @@ from hypothesis import example, given, strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
-from nskrt.operators import FourierGrid, Grid, cubic_spline, dy_onesided, running_trapezoid
+from nskrt.operators import (FourierGrid, Grid, cubic_spline, dy_onesided, lumped_mass,
+                             running_trapezoid)
 
 
 def _padded(f, parity):
@@ -96,3 +97,10 @@ def test_fourier_grid_is_grid_on_rfft_coefficients(twins):
     assert np.max(np.abs(fg.mean_x(fh) - g.mean_x(f))) <= 1e-13 * np.max(np.abs(f))
     # the transforms are identities: no copy
     assert fg.rfft(fh) is fh and fg.irfft(fh) is fh
+
+
+@given(st.integers(3, 300), st.floats(1e-4, 1.0), st.integers(0, 2**32 - 1))
+def test_lumped_mass_rows_are_the_padded_diagonal(n, dy, seed):
+    c = np.random.default_rng(seed).standard_normal(n)
+    padded = np.pad(dy * c[None, 1:-1], ((2, 0), (0, 0)))
+    assert lumped_mass(c, dy).tobytes() == padded.tobytes()

@@ -188,6 +188,25 @@ def test_direct_projection_returns_its_fluxes(slab, linear_profile):
     assert np.array_equal(fx, c0 * g.dx1(phi)) and np.array_equal(fy, c0 * g.dy(phi, +1))
 
 
+def test_projection_scale_is_taken_by_conjugate_gradients_only(slab, linear_profile):
+    # the direct solve never reads its reference scale; the PCG path reads it once
+    calls = []
+
+    def scale():
+        calls.append(1)
+        return 1.0
+
+    rc = _zero_rc(linearized=True)
+    ws = _workspace(rc, linear_profile, slab)
+    _var_poisson(ws.grid.irfft(_random_modes(ws, 7)), ws.c_base, ws, rc, scale, "projection")
+    assert calls == []
+    rc, ws, rho_p = _strong_contrast(32, 32, slab, linear_profile)
+    ws.iterations = {"projection": 0, "viscous": 0}
+    rhs = ws.grid.dx1(np.random.default_rng(8).standard_normal((32, 33)))
+    _var_poisson(rhs, 1.0 / (ws.rho_b + rho_p), ws, rc, scale, "projection")
+    assert calls == [1]
+
+
 def test_viscous_solve_converges_at_strong_contrast(slab, linear_profile):
     rc, ws, rho_p = _strong_contrast(64, 64, slab, linear_profile)
     g = ws.grid
