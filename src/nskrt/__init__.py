@@ -25,8 +25,7 @@ from .profiles import (AdmissibilityReport, DensityProfile, SlabConfig,
 from .simulator import (FieldState, Init, RunConfig, escape_time, init_state,
                         make_state, read_checkpoint, run, solver_iterations, step,
                         suggest_dt, write_checkpoint)
-from .threshold import (ModeQuotientOperator, ThresholdResult,
-                        assemble_mode_quotient, compute_kappa_c,
-                        mode_threshold, remark_bound, two_dim_quotient_ascent)
+from .threshold import (ThresholdResult, compute_kappa_c, mode_threshold,
+                        remark_bound, two_dim_quotient_ascent)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

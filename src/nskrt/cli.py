@@ -252,6 +252,9 @@ def parse_spec(command: str, config_path: str | None = None,
         if param not in SWEEP_PARAMS:
             raise ConfigError(
                 f"sweep.param must be one of {', '.join(SWEEP_PARAMS)}, got {param!r}")
+        if param == "delta" and "run" not in values:
+            raise ConfigError("sweep.param = delta (the run's seed amplitude) needs "
+                              "sweep.command = simulate")
     return ExperimentSpec(command=command, values=values, outdir=Path(outdir),
                           config_path=config_path, overrides=list(sets or []))
 

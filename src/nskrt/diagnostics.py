@@ -45,10 +45,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .growth import assemble_mode_forms
 from .operators import Grid, dy_onesided
 from .profiles import DensityProfile, SlabConfig, make_linear_profile
 from .simulator import _grid_workspace
-from .threshold import assemble_mode_quotient, mode_threshold
+from .threshold import mode_threshold
 
 
 __all__ = [
@@ -260,8 +261,8 @@ def poincare_min_quotient(config: SlabConfig, Ny: int = 256) -> float:
     largest eigenvalue is the reciprocal of this one.
     """
     unit = replace(config, g=1.0)
-    op = assemble_mode_quotient(make_linear_profile(1.0, 1.0, unit, Ny), unit, 1)
-    return 1.0 / mode_threshold(op)[0]
+    return 1.0 / mode_threshold(
+        assemble_mode_forms(make_linear_profile(1.0, 1.0, unit, Ny), unit, 1))[0]
 
 
 def write_series(series: list[EnergyRecord], path: str | Path) -> None:

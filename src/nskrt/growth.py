@@ -80,7 +80,6 @@ from .errors import ConfigError, EigensolverError
 from .operators import (band_matvec, dy_onesided, lumped_mass, second_difference_form,
                         stiffness, trapezoid_weights)
 from .profiles import DensityProfile, SlabConfig, check_admissibility
-from .threshold import _normalize_eigvec
 
 __all__ = [
     "ModeForms",
@@ -96,18 +95,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModeForms:
-    """Per-mode kinetic (M), viscous (V) and potential (Epot) forms.
-
-    All three are real symmetric band rows on interior nodes; M and V are
-    positive definite.  The profile columns and coefficients ride along so
-    quotients can be re-evaluated from difference sums, which is far less
-    sensitive to rounding than the assembled H^2-forms.
+    """Per-mode kinetic (M), viscous (V) and potential (Epot = A - kappa B)
+    forms, A the g rho_bar' mass and B the |rho_bar'|^2 stiffness plus xi^2
+    mass: the threshold's pencil.  All are real symmetric band rows on
+    interior nodes; M and V are positive definite.  The profile columns and
+    coefficients ride along so quotients can be re-evaluated from difference
+    sums, which is far less sensitive to rounding than the assembled H^2-forms.
     """
 
     xi: float
     M: np.ndarray
     V: np.ndarray
     Epot: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
     mu: float
     nodes: np.ndarray
     rho: np.ndarray
@@ -156,9 +157,20 @@ def assemble_mode_forms(p: DensityProfile, config: SlabConfig, k: int,
     xi = config.xi(k)
     M = m_rho + k_rho / xi**2
     V = k_ones + biharm / xi**2 + xi**2 * m_ones
-    Epot = config.g * m_d1 - config.kappa * (k_c + xi**2 * m_c)
-    return ModeForms(xi=xi, M=M, V=V, Epot=Epot, mu=config.mu, nodes=pN.nodes,
-                     rho=pN.rho, d1=pN.d1, g=config.g, kappa=config.kappa)
+    A, B = config.g * m_d1, k_c + xi**2 * m_c
+    return ModeForms(xi=xi, M=M, V=V, Epot=A - config.kappa * B, A=A, B=B, mu=config.mu,
+                     nodes=pN.nodes, rho=pN.rho, d1=pN.d1, g=config.g, kappa=config.kappa)
+
+
+def _normalize_eigvec(phi_int: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Pad wall zeros, normalize to unit trapezoid L2 norm, fix the sign."""
+    phi = np.zeros(nodes.size)
+    phi[1:-1] = phi_int
+    w = trapezoid_weights(nodes.size, nodes[1] - nodes[0])
+    phi /= np.sqrt(np.sum(w * phi**2))
+    if phi[np.argmax(np.abs(phi))] < 0:
+        phi = -phi
+    return phi
 
 
 def _quotient_sums(phi: np.ndarray, forms: ModeForms) -> tuple[float, float, float]:
@@ -341,6 +353,8 @@ def compute_growth(p: DensityProfile, config: SlabConfig, N: int = 256,
     running maximum (viscosity and capillarity damp large wavenumbers);
     ``exhaustive=True`` forces the full sweep to k_max for verification.
     """
+    if k_max < 1:
+        raise ConfigError(f"growth-rate sweep needs k_max >= 1, got {k_max}")
     pN = p.resample(N)
     rep = check_admissibility(pN)
     if not rep.rt_condition:

@@ -376,15 +376,16 @@ def save_profile(p: DensityProfile, path: str | Path) -> None:
             fh.write(f"{y:.17g} {r:.17g}\n")
 
 
-def check_admissibility(p: DensityProfile, tol: float | None = None) -> AdmissibilityReport:
-    """Classify a profile: RT condition, stabilizing condition, flat walls.
+def _gradient_tol(d1: np.ndarray) -> float:
+    """1e-12 max|rho_bar'|: a |rho_bar'| at or below it is a zero, not roundoff."""
+    return 1e-12 * float(np.max(np.abs(d1)))
 
-    The default tolerance 1e-12 * max|rho_bar'| detects exact zeros of the
-    gradient without flagging roundoff.
-    """
-    scale = float(np.max(np.abs(p.d1)))
+
+def check_admissibility(p: DensityProfile, tol: float | None = None) -> AdmissibilityReport:
+    """Classify a profile: RT condition, stabilizing condition, flat walls;
+    tol defaults to ``_gradient_tol(p.d1)``."""
     if tol is None:
-        tol = 1e-12 * scale
+        tol = _gradient_tol(p.d1)
     min_abs = float(np.min(np.abs(p.d1)))
     return AdmissibilityReport(
         rt_condition=bool(np.max(p.d1) > tol),

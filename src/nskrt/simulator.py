@@ -662,7 +662,7 @@ def step(s: FieldState, rc: RunConfig, p: DensityProfile, config: SlabConfig,
     if not (dt and dt > 0 and math.isfinite(dt)):
         raise SimulationError(f"cannot step with dt={dt}")
     vmax_old = max(float(np.max(np.abs(s.v1))), float(np.max(np.abs(s.v2))))
-    ws.iterations = {"projection": 0, "viscous": 0}
+    ws.iterations.update(projection=0, viscous=0)    # in place: ws.fourier shares it
     if rc.linearized:    # the modes decouple: step the rfft coefficients
         out = _fields(_imex(_fields(s, ws.grid.rfft), dt, ws.fourier, rc, config),
                       ws.grid.irfft)

@@ -28,7 +28,8 @@ grid.
 Each mode is discretized with second-order finite differences (midpoint
 stiffness, trapezoid mass) into a symmetric-definite pencil A phi =
 lambda B phi with A diagonal and B tridiagonal, which reduces to one
-symmetric tridiagonal eigenproblem per mode (``mode_threshold``).
+symmetric tridiagonal eigenproblem per mode (``mode_threshold``).  A and
+B are the parts of growth's Epot = A - kappa B, read from its ModeForms.
 """
 
 from __future__ import annotations
@@ -39,14 +40,13 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateThresholdError, EigensolverError
-from .operators import lumped_mass, stiffness, trapezoid_weights
-from .profiles import DensityProfile, SlabConfig, check_admissibility
+from .errors import ConfigError, DegenerateThresholdError, EigensolverError
+from .growth import ModeForms, _normalize_eigvec, assemble_mode_forms
+from .operators import trapezoid_weights
+from .profiles import DensityProfile, SlabConfig, _gradient_tol, check_admissibility
 
 __all__ = [
-    "ModeQuotientOperator",
     "ThresholdResult",
-    "assemble_mode_quotient",
     "mode_threshold",
     "compute_kappa_c",
     "remark_bound",
@@ -55,81 +55,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModeQuotientOperator:
-    """Discretized per-mode Rayleigh quotient Q_k = (phi' A phi)/(phi' B phi).
-
-    A is the g*rho_bar'-weighted mass form (numerator), B the
-    |rho_bar'|^2-weighted stiffness plus xi^2 mass (denominator), both in
-    band rows on interior nodes with the Dirichlet rows eliminated.  B is
-    symmetric positive definite exactly when the stabilizing condition holds.
-    """
-
-    xi: float
-    A: np.ndarray
-    B: np.ndarray
-    nodes: np.ndarray
-
-
-def assemble_mode_quotient(p: DensityProfile, config: SlabConfig, k: int) -> ModeQuotientOperator:
-    """Assemble the mode-k quotient forms on the profile's grid."""
-    if k < 1:
-        raise ValueError("mode index k must be >= 1 (the k = 0 mode carries no w2)")
-    rep = check_admissibility(p)
-    if not rep.stabilizing:
-        raise DegenerateThresholdError(
-            "density gradient vanishes inside the slab: the denominator form is "
-            "singular and no finite capillarity coefficient stabilizes this profile")
-    xi = config.xi(k)
-    c = p.d1**2
-    A = config.g * lumped_mass(p.d1, p.dy)
-    B = stiffness(c, p.dy) + xi**2 * lumped_mass(c, p.dy)
-    return ModeQuotientOperator(xi=xi, A=A, B=B, nodes=p.nodes)
-
-
-def _normalize_eigvec(phi_int: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Pad wall zeros, normalize to unit trapezoid L2 norm, fix the sign."""
-    phi = np.zeros(nodes.size)
-    phi[1:-1] = phi_int
-    w = trapezoid_weights(nodes.size, nodes[1] - nodes[0])
-    phi /= np.sqrt(np.sum(w * phi**2))
-    if phi[np.argmax(np.abs(phi))] < 0:
-        phi = -phi
-    return phi
-
-
-def mode_threshold(op: ModeQuotientOperator) -> tuple[float, np.ndarray]:
+def mode_threshold(forms: ModeForms) -> tuple[float, np.ndarray]:
     """Largest generalized eigenvalue of A phi = lambda B phi and its eigenfunction.
 
     Returns the per-mode threshold kappa_C(xi) and phi on the full node set
     (unit L2 norm, sign fixed so the largest-magnitude component is positive).
     A is diagonal, so kappa_C(xi) = 1/mu_min of the tridiagonal
     A^{-1/2} B A^{-1/2}, and phi = A^{-1/2} psi.  A non-finite pencil raises
-    EigensolverError, an entry of A <= 0 (rho' <= 0 at a node)
-    DegenerateThresholdError.
+    EigensolverError.  A profile that is not stabilizing (|rho'| at or
+    below check_admissibility's zero tolerance at a node of the forms' d1
+    column, walls included) or an entry of A <= 0 (rho' <= 0 at an
+    interior node) raises DegenerateThresholdError.
     """
-    if not (np.all(np.isfinite(op.A)) and np.all(np.isfinite(op.B))):
+    if not (np.all(np.isfinite(forms.A)) and np.all(np.isfinite(forms.B))):
         raise EigensolverError("mode quotient pencil has non-finite entries")
-    a = op.A[2]
-    if not np.all(a > 0.0):
-        raise DegenerateThresholdError("rho' is not positive at every node")
+    a = forms.A[2]
+    if not (float(np.min(np.abs(forms.d1))) > _gradient_tol(forms.d1) and np.all(a > 0.0)):
+        raise DegenerateThresholdError(
+            "rho' vanishes or is negative at a node: no finite capillarity "
+            "coefficient stabilizes this profile")
     r = 1.0 / np.sqrt(a)
     try:
         # bisection to near underflow: the default tolerance eps*|T|_1 would
         # leave mu_min only about 1e-10 relative
         vals, vecs = scipy.linalg.eigh_tridiagonal(
-            r * op.B[2] * r, r[:-1] * op.B[1, 1:] * r[1:], select="i",
+            r * forms.B[2] * r, r[:-1] * forms.B[1, 1:] * r[1:], select="i",
             select_range=(0, 0), tol=2.0 * np.finfo(float).tiny, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise EigensolverError(f"mode quotient eigensolve failed: {exc}") from exc
-    return float(1.0 / vals[0]), _normalize_eigvec(r * vecs[:, 0], op.nodes)
+    return float(1.0 / vals[0]), _normalize_eigvec(r * vecs[:, 0], forms.nodes)
+
+
+def _comparison_bound(p: DensityProfile, config: SlabConfig, poincare: float) -> float:
+    """g*max|rho'| * (min|rho'|)^-2 / (poincare + 1/L^2), poincare <= pi^2/h^2."""
+    d1 = np.abs(p.d1)
+    return config.g * float(np.max(d1)) / (float(np.min(d1))**2 * (poincare + 1.0 / config.L**2))
 
 
 def remark_bound(p: DensityProfile, config: SlabConfig) -> float:
     """Upper bound g*max|rho'| * (min|rho'|)^-2 / (pi^2/h^2 + 1/L^2)."""
-    dmax = float(np.max(np.abs(p.d1)))
-    dmin = float(np.min(np.abs(p.d1)))
-    return config.g * dmax / (dmin**2 * (np.pi**2 / config.h**2 + 1.0 / config.L**2))
+    return _comparison_bound(p, config, np.pi**2 / config.h**2)
 
 
 def _discrete_remark_bound(p: DensityProfile, config: SlabConfig, N: int) -> float:
@@ -141,11 +106,7 @@ def _discrete_remark_bound(p: DensityProfile, config: SlabConfig, N: int) -> flo
     the discrete threshold may legitimately sit O(N^-2) above the
     continuum bound for profiles that saturate it.
     """
-    dmax = float(np.max(np.abs(p.d1)))
-    dmin = float(np.min(np.abs(p.d1)))
-    dy = config.h / N
-    mu_N = (2.0 - 2.0 * np.cos(np.pi / N)) / dy**2
-    return config.g * dmax / (dmin**2 * (mu_N + 1.0 / config.L**2))
+    return _comparison_bound(p, config, (2.0 - 2.0 * np.cos(np.pi / N)) / (config.h / N)**2)
 
 
 @dataclass(frozen=True)
@@ -174,6 +135,8 @@ def compute_kappa_c(p: DensityProfile, config: SlabConfig, N: int = 256,
     (a failure signals an assembly bug, not a property of the profile) and
     that the result respects the linear-comparison upper bound.
     """
+    if k_max < 1:
+        raise ConfigError(f"threshold sweep needs k_max >= 1, got {k_max}")
     pN = p.resample(N)
     rep = check_admissibility(pN)
     if not (rep.rt_condition and rep.stabilizing):
@@ -181,22 +144,19 @@ def compute_kappa_c(p: DensityProfile, config: SlabConfig, N: int = 256,
             "threshold requires a profile with rho' > 0 everywhere "
             f"(rt_condition={rep.rt_condition}, stabilizing={rep.stabilizing})")
     per_mode: list[tuple[int, float, float]] = []
-    phi1 = None
-    prev = np.inf
     for k in range(1, k_max + 1):
-        op = assemble_mode_quotient(pN, config, k)
-        lam, phi = mode_threshold(op)
-        if not lam < prev:
-            raise EigensolverError(
-                f"per-mode threshold failed to decrease at k={k} "
-                f"({lam:.6g} >= {prev:.6g}); mode assembly is inconsistent")
-        per_mode.append((k, op.xi, lam))
+        forms = assemble_mode_forms(pN, config, k)
+        lam, phi = mode_threshold(forms)
         if k == 1:
             phi1 = phi
-        prev = lam
+        elif not lam < per_mode[-1][2]:
+            raise EigensolverError(
+                f"per-mode threshold failed to decrease at k={k} "
+                f"({lam:.6g} >= {per_mode[-1][2]:.6g}); mode assembly is inconsistent")
+        per_mode.append((k, forms.xi, lam))
     kappa_c = per_mode[0][2]
     bound = _discrete_remark_bound(pN, config, N)
-    if kappa_c > bound * (1.0 + 1e-9):
+    if not kappa_c <= bound * (1.0 + 1e-9):      # a NaN kappa_c fails too
         raise EigensolverError(
             f"computed threshold {kappa_c:.6g} exceeds the comparison bound "
             f"{bound:.6g}; mode assembly is inconsistent")

@@ -174,6 +174,22 @@ def test_sweep_rejects_unknown_parameter(tmp_path):
         parse_spec("sweep", cfg)
 
 
+@pytest.mark.parametrize("sub", ["growth", "threshold"])
+def test_sweep_over_delta_needs_simulate(tmp_path, sub):
+    # delta is the run's seed amplitude: a growth or threshold sweep has no
+    # [run] section to put it in, and is refused before any output
+    out = tmp_path / "o"
+    assert main(["sweep", "-o", str(out), "--set", "sweep.param=delta",
+                 "--set", "sweep.values=1e-3", "--set", f"sweep.command={sub}"]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["growth", "threshold"])
+def test_exit_code_k_max_zero(tmp_path, command):
+    assert main([command, "-o", str(tmp_path / "o"), "--set", "profile.n=64",
+                 "--set", f"{command}.k_max=0"]) == 2
+
+
 def test_escape_command(tmp_path):
     cfg = _write(tmp_path, BASE.replace("n = 128", "n = 96") + """
 [run]

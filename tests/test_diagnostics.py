@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nskrt import (SlabConfig, assemble_mode_quotient, bounded_decay_check,
+from nskrt import (SlabConfig, assemble_mode_forms, bounded_decay_check,
                    fit_escape, fit_growth, mode_threshold, poincare_min_quotient,
                    potential_energy, read_series, record, write_series)
 from nskrt.diagnostics import RECORD_FIELDS, EnergyRecord
@@ -47,8 +47,8 @@ def test_potential_energy_neutral_at_threshold(linear_profile):
 def test_potential_energy_sign_flips_at_per_mode_threshold(slab, linear_profile):
     # the k = 2 eigenmode is neutral exactly at kappa_c(2)
     p = linear_profile.resample(128)
-    op = assemble_mode_quotient(p, slab, 2)
-    kc2, phi = mode_threshold(op)
+    forms = assemble_mode_forms(p, slab, 2)
+    kc2, phi = mode_threshold(forms)
     w = _mode_field(slab, 128, 128, k=2, vertical=phi)
     for frac, sign in ((0.9, 1.0), (1.1, -1.0)):
         config = SlabConfig(g=1.0, mu=0.1, kappa=frac * kc2, L=1.0, h=1.0)

@@ -19,7 +19,7 @@ from nskrt import (SlabConfig, alpha, assemble_mode_forms, compute_growth, compu
                    make_linear_profile, make_tanh_profile, random_stabilizing_profile)
 from nskrt import growth
 from nskrt.operators import band_matvec
-from nskrt.threshold import _normalize_eigvec
+from nskrt.growth import _normalize_eigvec
 
 
 def _reference_sums(phi, forms):

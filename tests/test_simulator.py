@@ -294,6 +294,19 @@ def test_linearized_step_on_rfft_coefficients_matches_physical(Ny):
         assert np.max(np.abs(b - a)) <= 1e-12 * np.max(np.abs(a)), name
 
 
+def test_fourier_view_shares_the_iteration_counts(slab, linear_profile):
+    # the Fourier view is a shallow copy of the workspace: the counts of a
+    # step must be reset in place, or the view keeps a stale dict
+    rc = _zero_rc(linearized=True, init=Init("random_smooth", delta=1e-3))
+    ws = _workspace(rc, linear_profile, slab)
+    step(init_state(rc, linear_profile, slab), rc, linear_profile, slab)
+    assert ws.fourier.iterations is ws.iterations
+    nonlinear = replace(rc, linearized=False)
+    step(init_state(nonlinear, linear_profile, slab), nonlinear, linear_profile, slab)
+    assert ws.fourier.iterations is ws.iterations
+    assert ws.per_step[-1]["projection"] > 0
+
+
 def test_linearized_step_makes_eight_transforms(slab, linear_profile, monkeypatch):
     rc = _zero_rc(linearized=True, init=Init("random_smooth", delta=1e-3))
     s = init_state(rc, linear_profile, slab)

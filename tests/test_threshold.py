@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from nskrt import (DegenerateThresholdError, EigensolverError, SlabConfig,
-                   assemble_mode_quotient, compute_kappa_c, make_boundary_flat_profile,
+from nskrt import (DegenerateThresholdError, EigensolverError, SlabConfig, alpha,
+                   assemble_mode_forms, compute_kappa_c, make_boundary_flat_profile,
                    make_linear_profile, make_tanh_profile, mode_threshold,
                    random_stabilizing_profile, remark_bound,
                    two_dim_quotient_ascent)
@@ -21,40 +21,57 @@ TANH_KAPPA_C_N512 = 0.1509848593537014
 
 
 def test_constant_coefficient_assembly(slab, linear_profile):
-    op = assemble_mode_quotient(linear_profile, slab, 1)
+    forms = assemble_mode_forms(linear_profile, slab, 1)
     dy = linear_profile.dy
-    n = op.A.shape[1]
-    assert op.A.shape == op.B.shape == (3, n)           # pentadiagonal band rows
-    assert not np.any(op.A[:2]) and np.allclose(op.A[2], dy)   # g * mass, rho'=1
-    assert not np.any(op.B[0]) and op.B[1, 0] == 0.0     # tridiagonal
-    assert np.allclose(op.B[1, 1:], -1.0 / dy)
-    assert np.allclose(op.B[2], 2.0 / dy + (1.0 / slab.L**2) * dy)
+    n = forms.A.shape[1]
+    assert forms.A.shape == forms.B.shape == (3, n)           # pentadiagonal band rows
+    assert not np.any(forms.A[:2]) and np.allclose(forms.A[2], dy)   # g * mass, rho'=1
+    assert not np.any(forms.B[0]) and forms.B[1, 0] == 0.0     # tridiagonal
+    assert np.allclose(forms.B[1, 1:], -1.0 / dy)
+    assert np.allclose(forms.B[2], 2.0 / dy + (1.0 / slab.L**2) * dy)
 
 
 def test_xi_squared_mass_shift(slab, linear_profile):
-    op1 = assemble_mode_quotient(linear_profile, slab, 1)
-    op2 = assemble_mode_quotient(linear_profile, slab, 2)
+    op1 = assemble_mode_forms(linear_profile, slab, 1)
+    op2 = assemble_mode_forms(linear_profile, slab, 2)
     diff = op2.B - op1.B
     assert np.allclose(diff[:2], 0.0)                     # a diagonal shift
     assert np.allclose(diff[2], 3.0 / slab.L**2 * linear_profile.dy)
     assert np.all(diff[2] > 0)
 
 
+def test_sweep_checks_admissibility_once(slab, linear_profile, monkeypatch):
+    import nskrt
+
+    calls = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod in (nskrt.profiles, nskrt.growth, nskrt.threshold):
+        monkeypatch.setattr(mod, "check_admissibility", spy(mod.check_admissibility))
+    compute_kappa_c(linear_profile, slab, N=64, k_max=8)
+    assert len(calls) == 1
+
+
 def test_interior_zero_gradient_is_degenerate(slab):
     p = make_boundary_flat_profile(slab, 64)
     with pytest.raises(DegenerateThresholdError):
-        assemble_mode_quotient(p, slab, 1)
+        mode_threshold(assemble_mode_forms(p, slab, 1))
     with pytest.raises(DegenerateThresholdError):
         compute_kappa_c(p, slab, N=64)
 
 
 def test_mode_threshold_closed_form(slab):
     p = make_linear_profile(1.0, 1.0, slab, N=512)
-    lam, phi = mode_threshold(assemble_mode_quotient(p, slab, 1))
+    lam, phi = mode_threshold(assemble_mode_forms(p, slab, 1))
     assert abs(lam - REFERENCE_KAPPA_C) <= 1e-4 * REFERENCE_KAPPA_C
     # doubling the gradient halves the threshold for linear profiles
     p2 = make_linear_profile(1.0, 2.0, slab, N=512)
-    lam2, _ = mode_threshold(assemble_mode_quotient(p2, slab, 1))
+    lam2, _ = mode_threshold(assemble_mode_forms(p2, slab, 1))
     assert abs(lam2 - lam / 2.0) <= 1e-6
 
 
@@ -63,7 +80,7 @@ def test_negative_slope_threshold_is_degenerate(slab):
     # positive threshold exists
     p = make_linear_profile(2.0, -1.0, slab, N=64)
     with pytest.raises(DegenerateThresholdError):
-        mode_threshold(assemble_mode_quotient(p, slab, 1))
+        mode_threshold(assemble_mode_forms(p, slab, 1))
 
 
 def test_threshold_needs_no_dense_eigensolve(slab, linear_profile, monkeypatch):
@@ -80,7 +97,7 @@ def test_threshold_needs_no_dense_eigensolve(slab, linear_profile, monkeypatch):
 def test_tanh_regression_frozen_value(slab):
     p = make_tanh_profile(slab, 512, base=2.0, amp=1.0, steepness=10.0,
                           reg_slope=0.05)
-    lam, _ = mode_threshold(assemble_mode_quotient(p, slab, 1))
+    lam, _ = mode_threshold(assemble_mode_forms(p, slab, 1))
     assert abs(lam - TANH_KAPPA_C_N512) <= 1e-10
 
 
@@ -176,9 +193,21 @@ def test_modes_csv(tmp_path, slab, linear_profile):
 
 
 def test_nonfinite_pencil_raises_eigensolver_error(slab, linear_profile):
-    op = assemble_mode_quotient(linear_profile, slab, 1)
+    forms = assemble_mode_forms(linear_profile, slab, 1)
     for name in ("A", "B"):
-        bad = getattr(op, name).copy()
+        bad = getattr(forms, name).copy()
         bad[-1, 2] = np.inf if name == "A" else np.nan
         with pytest.raises(EigensolverError):
-            mode_threshold(dataclasses.replace(op, **{name: bad}))
+            mode_threshold(dataclasses.replace(forms, **{name: bad}))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
+def test_mode_threshold_is_where_alpha0_changes_sign(seed, k):
+    # the threshold's pencil (A, B) and the growth solver's Epot = A - kappa B
+    # are one pair of forms: alpha(0) changes sign at kappa_C(xi_k)
+    config = SlabConfig(g=1.0, mu=0.1, kappa=0.0, L=1.0, h=1.0)
+    p = random_stabilizing_profile(config, 64, np.random.default_rng(seed))
+    kc_k, _ = mode_threshold(assemble_mode_forms(p, config, k))
+    for frac, sign in ((1.0 - 1e-6, 1.0), (1.0 + 1e-6, -1.0)):
+        forms = assemble_mode_forms(p, dataclasses.replace(config, kappa=frac * kc_k), k)
+        assert sign * alpha(0.0, forms)[0] > 0.0
