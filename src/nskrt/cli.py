@@ -48,8 +48,9 @@ from .threshold import write_modes_csv as write_threshold_csv
 
 __all__ = ["ExperimentSpec", "parse_spec", "run_command", "main"]
 
-COMMANDS = ("threshold", "growth", "simulate", "sweep", "escape", "verify")
-SWEEP_PARAMS = ("kappa", "mu", "g", "L", "delta")
+# sweep parameter -> the (section, key) each value replaces
+SWEEP_PARAMS = {"kappa": ("slab", "kappa"), "mu": ("slab", "mu"), "g": ("slab", "g"),
+                "L": ("slab", "l"), "delta": ("run", "delta")}
 
 # schema: section -> key -> (type tag, default); REQUIRED means no default
 REQUIRED = object()
@@ -66,28 +67,20 @@ _SCHEMA = {
         "reg_slope": ("float", 0.0), "file": ("str", ""),
     },
     "threshold": {"k_max": ("int", 8)},
-    "growth": {"k_max": ("int", 64), "tol": ("float", 1e-10),
-               "exhaustive": ("bool", False)},
+    "growth": {"k_max": ("int", 64)},
     "run": {
         "nx": ("int", REQUIRED), "ny": ("int", REQUIRED),
         "t_end": ("float", REQUIRED), "dt": ("float", math.nan),
-        "cfl_adv": ("float", 0.5), "cfl_cap": ("float", 0.3),
         "linearized": ("bool", False), "seed": ("int", 0),
         "init": ("str", "eigenfunction"), "delta": ("float", 1e-4),
         "cutoff": ("int", 4),
         "init_file": ("str", ""), "output_every": ("int", 10),
-        "checkpoint_every": ("int", 0), "projection_tol": ("float", 1e-10),
+        "checkpoint_every": ("int", 0),
     },
     "sweep": {"param": ("str", REQUIRED), "values": ("str", REQUIRED),
               "command": ("str", "growth")},
     "escape": {"deltas": ("str", "1e-4, 3e-4, 1e-3, 3e-3"),
                "eps": ("float", REQUIRED)},
-}
-_NEEDS = {
-    "threshold": ("slab", "profile", "threshold"),
-    "growth": ("slab", "profile", "growth"),
-    "simulate": ("slab", "profile", "run", "growth"),
-    "escape": ("slab", "profile", "run", "growth", "escape"),
 }
 
 
@@ -132,12 +125,10 @@ class ExperimentSpec:
         return RunConfig(
             Nx=r["nx"], Ny=r["ny"], t_end=r["t_end"],
             dt=None if math.isnan(r["dt"]) else r["dt"],
-            cfl_adv=r["cfl_adv"], cfl_cap=r["cfl_cap"],
             linearized=r["linearized"], seed=r["seed"],
             init=init, output_every=r["output_every"],
             checkpoint_every=r["checkpoint_every"] or None,
             checkpoint_dir=str(self.outdir),
-            projection_tol=r["projection_tol"],
         )
 
 
@@ -209,7 +200,7 @@ def parse_spec(command: str, config_path: str | None = None,
     echoed into the summary is complete.  Missing required keys and
     unknown or mistyped keys are reported by name.
     """
-    if command not in COMMANDS:
+    if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     raw = _read_config_file(config_path) if config_path else {}
     for item in sets or []:
@@ -223,14 +214,14 @@ def parse_spec(command: str, config_path: str | None = None,
             raise _unknown_key_error(section, key)
         raw.setdefault(section, {})[key] = val
 
+    needed = _COMMANDS[command][1]
     if command == "sweep":
         # the sweep wraps a sub-command; require its sections plus [sweep]
         sub = raw.get("sweep", {}).get("command", "growth").strip()
-        if sub not in ("threshold", "growth", "simulate"):
-            raise ConfigError("sweep.command must be threshold, growth or simulate")
-        needed = tuple(dict.fromkeys(_NEEDS[sub] + ("sweep",)))
-    else:
-        needed = _NEEDS.get(command, ())
+        swept = [name for name, (_, _, columns) in _COMMANDS.items() if columns]
+        if sub not in swept:
+            raise ConfigError(f"sweep.command must be one of {', '.join(swept)}, got {sub!r}")
+        needed = _COMMANDS[sub][1] + needed
     values: dict[str, dict] = {}
     for section in needed:
         values[section] = {}
@@ -252,9 +243,10 @@ def parse_spec(command: str, config_path: str | None = None,
         if param not in SWEEP_PARAMS:
             raise ConfigError(
                 f"sweep.param must be one of {', '.join(SWEEP_PARAMS)}, got {param!r}")
-        if param == "delta" and "run" not in values:
-            raise ConfigError("sweep.param = delta (the run's seed amplitude) needs "
-                              "sweep.command = simulate")
+        section = SWEEP_PARAMS[param][0]
+        if section not in _COMMANDS[sub][1]:
+            raise ConfigError(f"sweep.param = {param} sets [{section}], which "
+                              f"sweep.command = {sub} does not read")
     return ExperimentSpec(command=command, values=values, outdir=Path(outdir),
                           config_path=config_path, overrides=list(sets or []))
 
@@ -298,17 +290,14 @@ def _cmd_threshold(spec: ExperimentSpec, summary: dict) -> None:
 
 
 def _growth(spec: ExperimentSpec, config: SlabConfig, p: DensityProfile):
-    """compute_growth with every [growth] setting of the spec."""
-    gsec = spec.values["growth"]
+    """compute_growth with the [growth] settings of the spec."""
     return compute_growth(p, config, N=spec.values["profile"]["n"],
-                          tol=gsec["tol"], k_max=gsec["k_max"],
-                          exhaustive=gsec["exhaustive"])
+                          k_max=spec.values["growth"]["k_max"])
 
 
 def _cmd_growth(spec: ExperimentSpec, summary: dict) -> None:
     config = spec.slab()
     p = spec.profile(config)
-    gsec = spec.values["growth"]
     res = _growth(spec, config, p)
     write_growth_csv(res, spec.outdir / "modes.csv")
     if res.Lambda > 0:
@@ -317,7 +306,7 @@ def _cmd_growth(spec: ExperimentSpec, summary: dict) -> None:
         write_eigenfunction(res.nodes, res.beta, spec.outdir / "beta.txt")
     summary["results"] = {
         "Lambda": res.Lambda, "k_star": res.k_star, "residual": res.residual,
-        "grid_N": res.grid_N, "fixed_point_tol": gsec["tol"],
+        "grid_N": res.grid_N,
         "eigensolves": res.eigensolves,
         "eigensolves_per_mode": res.eigensolves / len(res.per_mode),
         "factorizations_per_eigensolve": {"mean": sum(res.factorizations) / res.eigensolves,
@@ -341,7 +330,6 @@ def _cmd_simulate(spec: ExperimentSpec, summary: dict) -> None:
         "max_div_rel": max(r.div_rel for r in series),
         "mass_drift": abs(series[-1].mass_pert - series[0].mass_pert),
         "Lambda": None if gr is None else gr.Lambda,
-        "projection_tol": rc.projection_tol,
         **solver_iterations(rc, p, config),
     }
 
@@ -371,8 +359,10 @@ def _cmd_escape(spec: ExperimentSpec, summary: dict) -> None:
 
 def _cmd_sweep(spec: ExperimentSpec, summary: dict) -> None:
     param = spec.values["sweep"]["param"]
+    section, key = SWEEP_PARAMS[param]
     values = _float_list(spec.values["sweep"]["values"], "sweep.values")
     sub_command = spec.values["sweep"]["command"]
+    runner, _, columns = _COMMANDS[sub_command]
     rows = []
     for idx, value in enumerate(values):
         sub = ExperimentSpec(command=sub_command,
@@ -380,29 +370,18 @@ def _cmd_sweep(spec: ExperimentSpec, summary: dict) -> None:
                              outdir=spec.outdir / f"{param}_{idx:03d}",
                              config_path=spec.config_path,
                              overrides=spec.overrides + [f"sweep:{param}={value:g}"])
-        if param == "delta":
-            sub.values["run"]["delta"] = value
-        else:
-            key = "l" if param == "L" else param
-            sub.values["slab"][key] = value
+        sub.values[section][key] = value
         sub.outdir.mkdir(parents=True, exist_ok=True)
         sub_summary = _summary_skeleton(sub)
-        {"threshold": _cmd_threshold, "growth": _cmd_growth,
-         "simulate": _cmd_simulate}[sub_command](sub, sub_summary)
+        runner(sub, sub_summary)
         _write_summary(sub_summary, sub.outdir)
         rows.append((value, sub_summary["results"]))
-
-    scalar_keys = {
-        "threshold": ("kappa_c", "k_star"),
-        "growth": ("Lambda", "k_star", "residual"),
-        "simulate": ("l2_v_final", "l2_v_max", "max_div_rel"),
-    }[sub_command]
     with open(spec.outdir / "aggregate.csv", "w") as fh:
-        fh.write(param + "," + ",".join(scalar_keys) + "\n")
+        fh.write(param + "," + ",".join(columns) + "\n")
         for value, results in rows:
             cells = [f"{value:.17g}"]
-            for key in scalar_keys:
-                val = results.get(key)
+            for column in columns:
+                val = results.get(column)
                 cells.append("" if val is None else f"{val:.17g}"
                              if isinstance(val, float) else str(val))
             fh.write(",".join(cells) + "\n")
@@ -433,26 +412,26 @@ def _cmd_verify(spec: ExperimentSpec, summary: dict, criteria=None) -> int:
     return 1 if failures else 0
 
 
+# command -> (runner, the sections it reads, its aggregate.csv columns when
+# swept, or None if it cannot be swept)
+_COMMANDS = {
+    "threshold": (_cmd_threshold, ("slab", "profile", "threshold"), ("kappa_c", "k_star")),
+    "growth": (_cmd_growth, ("slab", "profile", "growth"), ("Lambda", "k_star", "residual")),
+    "simulate": (_cmd_simulate, ("slab", "profile", "run", "growth"),
+                 ("l2_v_final", "l2_v_max", "max_div_rel")),
+    "sweep": (_cmd_sweep, ("sweep",), None),
+    "escape": (_cmd_escape, ("slab", "profile", "run", "growth", "escape"), None),
+    "verify": (_cmd_verify, (), None),
+}
+
+
 def run_command(spec: ExperimentSpec, criteria=None) -> int:
     """Execute a resolved spec; writes artifacts into spec.outdir."""
     spec.outdir.mkdir(parents=True, exist_ok=True)
     summary = _summary_skeleton(spec)
     t0 = time.perf_counter()
-    status = 0
-    if spec.command == "threshold":
-        _cmd_threshold(spec, summary)
-    elif spec.command == "growth":
-        _cmd_growth(spec, summary)
-    elif spec.command == "simulate":
-        _cmd_simulate(spec, summary)
-    elif spec.command == "escape":
-        _cmd_escape(spec, summary)
-    elif spec.command == "sweep":
-        _cmd_sweep(spec, summary)
-    elif spec.command == "verify":
-        status = _cmd_verify(spec, summary, criteria)
-    else:  # pragma: no cover - parse_spec already validates
-        raise ConfigError(f"unknown command {spec.command!r}")
+    extra = (criteria,) if spec.command == "verify" else ()
+    status = _COMMANDS[spec.command][0](spec, summary, *extra) or 0
     if spec.command in ("growth", "simulate", "escape"):
         # the solver commands' wall time; a threshold summary stays
         # byte-for-byte reproducible
@@ -466,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="nskrt",
         description="Capillarity thresholds, growth rates and nonlinear "
                     "slab simulations for incompressible NSK flow.")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("-c", "--config", help="experiment file (key = value sections)")
     parser.add_argument("-o", "--out", default="nskrt_out", help="output directory")
     parser.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",

@@ -309,8 +309,14 @@ def _fixed_point(forms: ModeForms, tol: float, a0: float,
         f"growth-rate iteration stalled in [{s_lo:.17g}, {s_hi:.17g}]")
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"growth-rate tolerance must be finite and > 0, got {tol}")
+
+
 def mode_growth_rate(forms: ModeForms, tol: float = 1e-10) -> tuple[float, np.ndarray | None]:
     """Growth rate of one horizontal mode; Lambda_xi = 0 when alpha(0) <= 0."""
+    _check_tol(tol)
     lam, phi, _, _ = _fixed_point(forms, tol, *alpha(0.0, forms)[:2])
     return lam, phi
 
@@ -355,6 +361,7 @@ def compute_growth(p: DensityProfile, config: SlabConfig, N: int = 256,
     """
     if k_max < 1:
         raise ConfigError(f"growth-rate sweep needs k_max >= 1, got {k_max}")
+    _check_tol(tol)
     pN = p.resample(N)
     rep = check_admissibility(pN)
     if not rep.rt_condition:

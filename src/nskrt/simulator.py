@@ -57,7 +57,7 @@ discretely divergence-free and vanishes at the walls is identically zero.
 The capillary stress is explicit; its stiffness is advective-like here
 (restoring frequency ~ sqrt(kappa/rho) |rho_bar'| xi), but the adaptive
 step keeps the more conservative surface-tension-style bound
-cfl_cap * min(dx,dy)^(3/2) / sqrt(kappa max|rho_bar'| / min rho_bar)
+CFL_CAP * min(dx,dy)^(3/2) / sqrt(kappa max|rho_bar'| / min rho_bar)
 alongside the advective CFL and a buoyancy guard.
 """
 
@@ -94,7 +94,9 @@ __all__ = [
 ]
 
 CHECKPOINT_HEADER = b"nsk-ckpt v2\n"
-CHECKPOINT_HEADER_V1 = b"nsk-ckpt v1\n"
+CFL_ADV = 0.5           # advective CFL number of the adaptive step
+CFL_CAP = 0.3           # capillary CFL number of the adaptive step
+PROJECTION_TOL = 1e-10  # relative tolerance of the projection and viscous solves
 
 
 @dataclass(frozen=True)
@@ -128,15 +130,12 @@ class RunConfig:
     Ny: int
     t_end: float
     dt: float | None = None       # None: adaptive steps (suggest_dt)
-    cfl_adv: float = 0.5
-    cfl_cap: float = 0.3
     linearized: bool = False
     seed: int = 0
     init: Init = field(default_factory=Init)
     output_every: int = 10
     checkpoint_every: int | None = None
     checkpoint_dir: str | None = None
-    projection_tol: float = 1e-10
 
     def __post_init__(self):
         if self.Nx < 4 or self.Nx & (self.Nx - 1):
@@ -147,6 +146,10 @@ class RunConfig:
             raise ConfigError(f"dt must be > 0 (or None for adaptive steps), got {self.dt}")
         if self.output_every < 1:
             raise ConfigError("output_every must be >= 1")
+        if not (self.checkpoint_every is None or self.checkpoint_every >= 1):
+            raise ConfigError(f"checkpoint_every must be >= 1 or None, got {self.checkpoint_every}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -438,7 +441,7 @@ def _var_poisson(rhs: np.ndarray, c: np.ndarray, ws: _Workspace, rc: RunConfig,
     orthogonal to every divergence), is solved by conjugate gradients
     preconditioned by s (base solve) s with s = sqrt(c0 / c), the same
     factor.  The exit test is the true residual, recomputed from phi, at or
-    below projection_tol * ref_scale; a callable ref_scale is evaluated on
+    below PROJECTION_TOL * ref_scale; a callable ref_scale is evaluated on
     this path only, as the direct solve has no use for it.  Returns
     (phi, c d1 phi, c d2 phi), the fluxes of the last evaluation, for the
     velocity update.
@@ -451,7 +454,7 @@ def _var_poisson(rhs: np.ndarray, c: np.ndarray, ws: _Workspace, rc: RunConfig,
     if c is ws.c_base:
         phi = g.irfft(_projection_solve(g.rfft(rhs), ws))
         return (phi, *flux(phi))
-    tol = rc.projection_tol * max(ref_scale() if callable(ref_scale) else ref_scale, 1e-300)
+    tol = PROJECTION_TOL * max(ref_scale() if callable(ref_scale) else ref_scale, 1e-300)
     fail = f"{what} solve failed to reach tolerance {tol:.3g} in 60 iterations"
     scale = np.sqrt(ws.c_base / c)
 
@@ -549,7 +552,7 @@ def _viscous_half(s: FieldState, half: float, ws: _Workspace, rc: RunConfig,
     preconditioned by s P^-1 s with P = rho_bar - (half/2) mu lap (the
     Crank-Nicolson factor applied to r / rho_bar) and s = sqrt(rho_bar /
     rho), run until the preconditioned residual, the size of the next
-    update, is at most projection_tol * |v_old|_inf.  The full variable
+    update, is at most PROJECTION_TOL * |v_old|_inf.  The full variable
     coefficient is implicit: an explicit remainder would be anti-diffusive
     wherever rho > rho_bar, and the Crank-Nicolson halves are not
     L-stable, so grid-scale vertical modes would amplify.
@@ -576,7 +579,7 @@ def _viscous_half(s: FieldState, half: float, ws: _Workspace, rc: RunConfig,
         def precond(r):                                # scale P^-1 scale, P = rho_bar - amu lap
             return scale * g.irfft(factor.solve(g.rfft(c_scale * r)))
 
-        tol = rc.projection_tol * max(float(np.max(np.abs(v))), 1e-300)
+        tol = PROJECTION_TOL * max(float(np.max(np.abs(v))), 1e-300)
         v, _, n = _pcg(
             v, 2.0 * amu * lap(v), lambda p: rho * p - amu * lap(p), precond, _dot,
             tol, 40, f"implicit viscous solve failed to reach {tol:.3g} in 40 iterations",
@@ -616,9 +619,9 @@ def suggest_dt(s: FieldState, rc: RunConfig, p: DensityProfile, config: SlabConf
     rho_min = float(np.min(ws.rho_b))
     cands = [math.inf]
     if vmax > 0:
-        cands.append(rc.cfl_adv * dmin / vmax)
+        cands.append(CFL_ADV * dmin / vmax)
     if config.kappa > 0 and d1max > 0:
-        cands.append(rc.cfl_cap * dmin**1.5 / math.sqrt(config.kappa * d1max / rho_min))
+        cands.append(CFL_CAP * dmin**1.5 / math.sqrt(config.kappa * d1max / rho_min))
     if d1max > 0:
         cands.append(0.25 * math.sqrt(rho_min / (config.g * d1max)))
     return min(cands)
@@ -726,7 +729,7 @@ def init_state(rc: RunConfig, p: DensityProfile, config: SlabConfig,
         st = read_checkpoint(init.path, rc)
         if not rc.linearized:
             st.s2 = None
-        elif st.s2 is None:                    # a v1 or a nonlinear run's checkpoint
+        elif st.s2 is None:                    # a nonlinear run's checkpoint
             st.s2 = -st.rho_pert / ws.d1 if ws.stabilizing else np.zeros(shape)
         return st
 
@@ -834,6 +837,8 @@ def escape_time(rc: RunConfig, p: DensityProfile, config: SlabConfig,
 
     if rc.init.kind != "eigenfunction":
         raise ConfigError(f"escape runs need an eigenfunction init, got {rc.init.kind!r}")
+    if not 0.0 < eps < math.inf:
+        raise ConfigError(f"escape threshold eps must be finite and > 0, got {eps}")
     if gr is None:
         gr = compute_growth(p, config)
     if gr.Lambda <= 0.0:
@@ -878,23 +883,19 @@ def write_checkpoint(state: FieldState, path: str | Path) -> None:
 
 
 def read_checkpoint(path: str | Path, rc: RunConfig) -> FieldState:
-    """Read a checkpoint of rc's grid.  A v1 file (header ``nsk-ckpt v1``,
-    no step index, no s2) restarts at step_index 0 without s2."""
+    """Read a checkpoint of rc's grid, as written by write_checkpoint."""
     path = Path(path)
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
-    if raw.startswith(CHECKPOINT_HEADER_V1):
-        step_index, body, counts = 0, raw[len(CHECKPOINT_HEADER_V1):], (3,)
-    elif raw.startswith(CHECKPOINT_HEADER):
-        n = len(CHECKPOINT_HEADER)
-        step_index = int.from_bytes(raw[n:n + 8], "little", signed=True)
-        body, counts = raw[n + 8:], (3, 4)
-    else:
+    if not raw.startswith(CHECKPOINT_HEADER):
         raise ConfigError(f"{path}: not a checkpoint (bad header)")
+    n = len(CHECKPOINT_HEADER)
+    step_index = int.from_bytes(raw[n:n + 8], "little", signed=True)
+    body = raw[n + 8:]
     npt = rc.Nx * (rc.Ny + 1)
-    floats = [1 + k * npt for k in counts]
+    floats = [1 + k * npt for k in (3, 4)]
     if len(body) not in [8 * f for f in floats] or step_index < 0:
         raise ConfigError(
             f"{path}: expected {' or '.join(map(str, floats))} floats for Nx={rc.Nx}, "

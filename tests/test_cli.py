@@ -292,6 +292,29 @@ def test_removed_run_keys_are_unknown(tmp_path):
             parse_spec("simulate", cfg)
 
 
+@pytest.mark.parametrize("key", ["run.cfl_adv=0.5", "run.cfl_cap=0.3",
+                                 "run.projection_tol=1e-10", "growth.tol=1e-10",
+                                 "growth.exhaustive=true"])
+def test_removed_settings_are_unknown_keys(tmp_path, capsys, key):
+    # the simulator's CFL numbers and solve tolerance, and the growth
+    # sweep's fixed-point tolerance and early stop, are constants
+    out = tmp_path / "o"
+    assert main(["simulate", "-o", str(out), "--set", "run.nx=16", "--set", "run.ny=16",
+                 "--set", "run.t_end=0.02", "--set", key]) == 2
+    assert "unknown key" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("sets", [["run.checkpoint_every=-1"],
+                                  ["run.init=random_smooth", "run.seed=-1"]])
+def test_exit_code_bad_run_setting(tmp_path, sets):
+    out = tmp_path / "o"
+    args = ["simulate", "-o", str(out), "--set", "profile.n=64", "--set", "run.nx=16",
+            "--set", "run.ny=16", "--set", "run.t_end=0.04", "--set", "run.dt=0.02"]
+    assert main(args + [tok for item in sets for tok in ("--set", item)]) == 2
+    assert not (out / "summary.json").exists()
+
+
 def test_simulate_rejects_non_finite_checkpoint(tmp_path):
     out = tmp_path / "a"
     sets = ["--set", "profile.n=64", "--set", "run.nx=32", "--set", "run.ny=32",

@@ -93,6 +93,14 @@ def test_compute_growth_rejects_profile_without_rt_region(slab):
         compute_growth(p, slab, N=64)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
+def test_growth_tolerance_must_be_finite_and_positive(slab, linear_profile, tol):
+    with pytest.raises(ConfigError, match="tolerance"):
+        compute_growth(linear_profile, slab, N=64, tol=tol)
+    with pytest.raises(ConfigError, match="tolerance"):
+        mode_growth_rate(assemble_mode_forms(linear_profile, slab, 1, N=64), tol=tol)
+
+
 def test_fixed_point_residual(slab, linear_profile):
     f = assemble_mode_forms(linear_profile, slab, 3, N=128)
     lam, phi = mode_growth_rate(f, tol=1e-10)

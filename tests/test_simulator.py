@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nskrt.diagnostics
+import nskrt.simulator
 from nskrt import (CflError, ConfigError, DensityProfile, SimulationError, SlabConfig,
                    VacuumError, compute_growth, compute_kappa_c, make_linear_profile,
                    random_stabilizing_profile)
@@ -126,18 +127,20 @@ def test_pcg_iteration_cap_raises():
              "test solve failed to reach tolerance 1e-12 in 2 iterations")
 
 
-def test_solve_cap_keeps_message_shape(slab, linear_profile):
+def test_solve_cap_keeps_message_shape(slab, linear_profile, monkeypatch):
     # an unreachable tolerance exhausts the projection's 60 iterations
-    rc = _zero_rc(init=Init("random_smooth", delta=0.1), seed=3, projection_tol=1e-30)
+    monkeypatch.setattr(nskrt.simulator, "PROJECTION_TOL", 1e-30)
+    rc = _zero_rc(init=Init("random_smooth", delta=0.1), seed=3)
     with pytest.raises(SimulationError,
                        match=r"projection solve failed to reach tolerance \S+ in 60 iterations"):
         init_state(rc, linear_profile, slab)
 
 
-def test_viscous_cap_keeps_message_shape(slab, linear_profile):
+def test_viscous_cap_keeps_message_shape(slab, linear_profile, monkeypatch):
     # the recurrence residual falls far below rounding, so only a zero
     # tolerance keeps the update test from passing within 40 iterations
-    rc = _zero_rc(projection_tol=0.0)
+    monkeypatch.setattr(nskrt.simulator, "PROJECTION_TOL", 0.0)
+    rc = _zero_rc()
     ws = _workspace(rc, linear_profile, slab)
     rng = np.random.default_rng(4)
     v1, v2 = rng.standard_normal((2, 32, 33))
@@ -176,7 +179,7 @@ def test_projection_converges_at_strong_contrast(slab, linear_profile):
     assert np.array_equal(fx, c * g.dx1(phi)) and np.array_equal(fy, c * g.dy(phi, +1))
     resid = g.dx1(fx) + g.dy(fy, -1) - rhs
     resid -= np.mean(resid, axis=0, keepdims=True)
-    assert np.max(np.abs(resid)) <= rc.projection_tol * scale
+    assert np.max(np.abs(resid)) <= nskrt.simulator.PROJECTION_TOL * scale
 
 
 def test_direct_projection_returns_its_fluxes(slab, linear_profile):
@@ -426,21 +429,18 @@ def test_checkpoint_keeps_s2_of_linearized_runs(tmp_path, slab, linear_profile):
                       linear_profile, slab).s2 is None
 
 
-def test_checkpoint_v1_still_loads(tmp_path, slab, linear_profile):
+def test_linearized_restart_from_nonlinear_checkpoint_rebuilds_s2(tmp_path, slab,
+                                                                   linear_profile):
     rc = _zero_rc(init=Init("random_smooth", delta=1e-3), seed=11)
-    s = init_state(rc, linear_profile, slab)
-    path = tmp_path / "v1.bin"
-    path.write_bytes(b"nsk-ckpt v1\n" + np.array([1.75], "<f8").tobytes()
-                     + b"".join(np.ascontiguousarray(a, "<f8").tobytes()
-                                for a in (s.rho_pert, s.v1, s.v2)))
-    q = read_checkpoint(path, rc)
-    assert q.t == 1.75 and q.step_index == 0 and q.s2 is None
-    assert np.array_equal(q.rho_pert, s.rho_pert)
-    assert np.array_equal(q.v1, s.v1) and np.array_equal(q.v2, s.v2)
-    # a linearized restart rebuilds s2 from the transport relation, as before
+    s = step(init_state(rc, linear_profile, slab), rc, linear_profile, slab)
+    path = tmp_path / "state.bin"
+    write_checkpoint(s, path)                  # a nonlinear run's checkpoint has no s2
+    assert read_checkpoint(path, rc).s2 is None
+    # a linearized restart rebuilds s2 from the transport relation
     lin = replace(rc, linearized=True, init=Init("file", path=str(path)))
-    assert np.array_equal(init_state(lin, linear_profile, slab).s2,
-                          -s.rho_pert / linear_profile.resample(32).d1)
+    q = init_state(lin, linear_profile, slab)
+    assert q.step_index == 1 and np.array_equal(q.rho_pert, s.rho_pert)
+    assert np.array_equal(q.s2, -s.rho_pert / linear_profile.resample(32).d1)
 
 
 @pytest.mark.parametrize("linearized", [False, True])
@@ -467,12 +467,14 @@ def test_restart_keeps_output_cadence(tmp_path, linearized, slab, linear_profile
 def test_checkpoint_header_and_size_validation(tmp_path, slab):
     rc = _zero_rc()
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"not a checkpoint")
-    with pytest.raises(ConfigError):
-        read_checkpoint(bad, rc)
+    # the v1 format (no step index, no s2) is no longer read
+    for raw in (b"not a checkpoint", b"nsk-ckpt v1\n" + b"\0" * 8 * (1 + 3 * 32 * 33)):
+        bad.write_bytes(raw)
+        with pytest.raises(ConfigError, match="bad header"):
+            read_checkpoint(bad, rc)
     short = tmp_path / "short.bin"
-    short.write_bytes(b"nsk-ckpt v1\n" + b"\0" * 160)
-    with pytest.raises(ConfigError):
+    short.write_bytes(b"nsk-ckpt v2\n" + b"\0" * 160)
+    with pytest.raises(ConfigError, match="expected"):
         read_checkpoint(short, rc)
 
 
@@ -608,6 +610,13 @@ def test_records_read_the_run_workspace(slab, monkeypatch):
     assert len(series) == 5 and calls == []
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+def test_escape_time_rejects_bad_eps(eps, slab, linear_profile):
+    rc = RunConfig(Nx=32, Ny=32, t_end=0.1, dt=0.05, init=Init("eigenfunction", delta=1e-3))
+    with pytest.raises(ConfigError, match="eps"):
+        escape_time(rc, linear_profile, slab, [1e-3], eps)
+
+
 def test_escape_time_rejects_non_eigenfunction_init(slab, linear_profile):
     gr = compute_growth(linear_profile, slab, N=96)
     rc = RunConfig(Nx=32, Ny=32, t_end=0.1, dt=0.05, init=Init("zero"))
@@ -645,12 +654,11 @@ def test_adaptive_dt_run(slab, linear_profile):
 
 def test_capillary_cfl_formula(linear_profile):
     config = SlabConfig(g=1.0, mu=0.1, kappa=0.2, L=1.0, h=1.0)
-    rc = RunConfig(Nx=64, Ny=64, t_end=1.0, cfl_cap=0.3,
-                   init=Init("zero"))
+    rc = RunConfig(Nx=64, Ny=64, t_end=1.0, init=Init("zero"))
     s = init_state(rc, linear_profile, config)
     dt = suggest_dt(s, rc, linear_profile, config)
     dmin = min(2 * np.pi / 64, 1.0 / 64)
-    expected_cap = 0.3 * dmin**1.5 / np.sqrt(0.2 * 1.0 / 1.0)
+    expected_cap = nskrt.simulator.CFL_CAP * dmin**1.5 / np.sqrt(0.2 * 1.0 / 1.0)
     assert dt <= expected_cap + 1e-15
 
 
@@ -661,6 +669,10 @@ def test_runconfig_validation():
         RunConfig(Nx=32, Ny=8, t_end=1.0, dt=0.1)           # Ny too small
     with pytest.raises(ConfigError):
         RunConfig(Nx=32, Ny=32, t_end=1.0, dt=0.0)          # dt must be > 0 or None
+    with pytest.raises(ConfigError, match="checkpoint_every"):
+        RunConfig(Nx=32, Ny=32, t_end=1.0, checkpoint_every=0)  # None means off
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(Nx=32, Ny=32, t_end=1.0, seed=-1)
     with pytest.raises(ConfigError):
         Init("eigenfunction", delta=-1.0)
     with pytest.raises(ConfigError):
